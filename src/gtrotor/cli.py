@@ -3,7 +3,8 @@ by any computation path, polynomial evaluation, and the verification suites.
 
 Output is JSON by default (rationals rendered as "p/q" strings so nothing is
 ever mangled through floats); matrices also accept --format csv.  Exit codes:
-0 success, 1 verification failure, 2 usage or domain error.
+0 success, 1 verification failure, 2 usage, domain or arithmetic error (an
+`error:` line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .numerics import (
     parse_angle,
     parse_rational,
 )
+from .oracle import SignCalibrationFailed, rho_oracle
 from .racah_algebra import hilbert_series_coeffs
 from .rep import ELEMENT_NAMES, element_matrix
 from .rotations import EulerAngles, TanPole, rotation_matrix, sigma_formula, sigma_product, tau
@@ -129,8 +131,6 @@ def cmd_sigma(args) -> int:
         elif args.path == "product":
             m = sigma_product(angles, basis)
         else:
-            from .oracle import rho_oracle
-
             m = rho_oracle(np.array(rotation_matrix(angles), dtype=float), basis)
     except TanPole as exc:
         raise DomainError(f"{exc}; use --path product or --path oracle") from exc
@@ -289,8 +289,8 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidWeight, NotOnUnitCircle, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, SignCalibrationFailed) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -178,15 +178,6 @@ class PatternMatrix:
             default=0.0,
         )
 
-    def max_rel_diff(self, other, floor: float = 1e-300) -> float:
-        """max |a-b| / max(|a|, |b|, floor) over the union support."""
-        keys = set(self.entries) | set(other.entries)
-        worst = 0.0
-        for k in keys:
-            a, b = float(self.get(*k)), float(other.get(*k))
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor))
-        return worst
-
     def items(self):
         return self.entries.items()
 

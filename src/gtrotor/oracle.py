@@ -16,7 +16,7 @@ import numpy as np
 from .gt_basis import IrrepBasis
 from .linalg import PatternMatrix
 from .rep import generator_matrix
-from .rotations import EulerAngles
+from .rotations import EulerAngles, tau, tau_sign
 from .numerics import Radians
 
 
@@ -25,7 +25,7 @@ class NotARotation(ValueError):
 
 
 class SignCalibrationFailed(RuntimeError):
-    """Neither sign of the closed-form tau matches the oracle."""
+    """The closed-form tau does not match the oracle."""
 
 
 def require_rotation(r, tol: float = 1e-12) -> np.ndarray:
@@ -135,24 +135,23 @@ def rho_oracle(r, basis: IrrepBasis) -> PatternMatrix:
 T_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
+TAU_SIGN_TOL = 1e-9
+
+
+def tau_sign_residual(basis: IrrepBasis) -> float:
+    """Largest entry of |tau - exp(-pi/2 Lt)| at the orthonormal scale, where
+    both matrices are orthogonal and entries are O(1); a wrong sign of the
+    closed form shows up as a residual near 2."""
+    return float(np.max(np.abs(tau(basis).zeta_numpy() - _tau_zeta(basis))))
+
+
 def calibrate_tau_sign(basis: IrrepBasis) -> int:
-    """Sign s making s * tau (closed form) match the exponential oracle for
-    T on every nonzero entry, within 1e-9 relative."""
-    from .rotations import tau_raw
-
-    closed = tau_raw(basis)
-    target = tau_oracle(basis)
-    for sign in (1, -1):
-        if closed.scaled(rational_sign(sign)).to_float().max_rel_diff(
-            target, floor=1.0
-        ) <= 1e-9:
-            return sign
-    raise SignCalibrationFailed(
-        f"neither sign of the closed-form tau matches the oracle for {basis.weight}"
-    )
-
-
-def rational_sign(sign: int):
-    from .numerics import rational
-
-    return rational(sign)
+    """Check the closed-form sign of tau against the exponential oracle and
+    return it; SignCalibrationFailed when they disagree beyond TAU_SIGN_TOL."""
+    residual = tau_sign_residual(basis)
+    if residual > TAU_SIGN_TOL:
+        raise SignCalibrationFailed(
+            f"closed-form tau differs from the oracle by {residual:.3g} "
+            f"for {basis.weight}"
+        )
+    return tau_sign(basis)

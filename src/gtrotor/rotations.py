@@ -2,10 +2,10 @@
 
 rho_z is the closed form for z-rotations (block-diagonal, Krawtchouk
 entries); tau is the transition between the two sl2 embeddings (Racah
-entries, global sign calibrated against the float oracle); sigma is the
-general rotation, computed either as the five-factor product or as the
-closed double sum.  For angles given as exact points on the unit circle all
-of these are exact rational matrices.
+entries, closed-form global sign checked against the float oracle); sigma
+is the general rotation, computed either as the five-factor product or as
+the closed double sum.  For angles given as exact points on the unit circle
+all of these are exact rational matrices.
 
 Ground truth hierarchy when paths disagree: exponential oracle, then the
 five-factor product, then the closed double sum.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .gt_basis import GTPattern, IrrepBasis, shift
 from .linalg import PatternMatrix, orthogonality_defect
@@ -110,7 +111,7 @@ def rho_z(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
 
 
 # --------------------------------------------------------------------------
-# tau: the transition T between the two sl2 embeddings
+# per-pattern factors shared by tau, sigma_formula and hybrid_sigma
 
 
 def _t_factor(w, x, y, z):
@@ -135,22 +136,47 @@ def _t_factor(w, x, y, z):
     return num / den
 
 
-def _tau_racah_value(w, col: GTPattern, x_var):
-    """Shifted Racah factor of a tau entry: degree l31-l21 at variable x_var,
-    with all parameters read off the column pattern."""
-    n = as_int(w.l31 - col.l21)
-    alpha = w.l32 - w.l31 - 1
-    beta = col.l21 + col.l22 + w.l33 - 1
-    gamma = col.l11 - w.l31 - 1
-    delta = -col.l21 - col.l22 - w.l31 - 1
-    return racah_tilde_raw(n, x_var, alpha, beta, gamma, delta)
+def _t_factors(basis: IrrepBasis) -> tuple:
+    """The t-factor of every pattern, in basis order."""
+    w = basis.weight
+    return basis.memo(
+        ("t_factors",),
+        lambda: tuple(_t_factor(w, p.l21, p.l11, p.l22) for p in basis),
+    )
+
+
+@lru_cache(maxsize=None)
+def _racah_windowed(n, x, a, b, c, d):
+    window = min(-a - 1, -b - d - 1, -c - 1)
+    if n < 0 or x < 0 or n > window or x > window:
+        return rational(0)
+    return racah_tilde_raw(n, x, a, b, c, d)
+
+
+def _racah_factor(w, l21, l22, l11, x):
+    """Shifted Racah factor of degree l31-l21 at variable x, with every
+    parameter read off the pattern (l21, l22, l11); zero outside the window."""
+    return _racah_windowed(
+        as_int(w.l31 - l21),
+        as_int(x),
+        w.l32 - w.l31 - 1,
+        l21 + l22 + w.l33 - 1,
+        l11 - w.l31 - 1,
+        -l21 - l22 - w.l31 - 1,
+    )
+
+
+# --------------------------------------------------------------------------
+# tau: the transition T between the two sl2 embeddings
 
 
 def tau_raw(basis: IrrepBasis) -> PatternMatrix:
-    """Closed-form tau with the sign convention as derived (uncalibrated)."""
+    """Closed-form tau with the sign convention as derived, before the
+    global sign."""
 
     def build():
         w = basis.weight
+        t = _t_factors(basis)
         entries = {}
         for j, col in enumerate(basis):
             for i, row in enumerate(basis):
@@ -159,9 +185,9 @@ def tau_raw(basis: IrrepBasis) -> PatternMatrix:
                 if col.l21 + col.l22 != row.l11 - row.l21 - row.l22:
                     continue
                 v = (
-                    _t_factor(w, row.l21, row.l11, row.l22)
+                    t[i]
                     * neg_one_pow(row.l22 - col.l21)
-                    * _tau_racah_value(w, col, w.l31 - row.l21)
+                    * _racah_factor(w, col.l21, col.l22, col.l11, w.l31 - row.l21)
                 )
                 if v != 0:
                     entries[(i, j)] = v
@@ -171,14 +197,10 @@ def tau_raw(basis: IrrepBasis) -> PatternMatrix:
 
 
 def tau_sign(basis: IrrepBasis) -> int:
-    """Global sign fixed once per basis against the exponential oracle."""
-
-    def build():
-        from .oracle import calibrate_tau_sign
-
-        return calibrate_tau_sign(basis)
-
-    return basis.memo(("tau_sign",), build)
+    """Global sign of tau, (-1)^(l31 - l33); the rotations suite checks it
+    against the exponential oracle."""
+    w = basis.weight
+    return neg_one_pow(w.l31 - w.l33)
 
 
 def tau(basis: IrrepBasis, calibrated: bool = True) -> PatternMatrix:
@@ -253,103 +275,162 @@ def _kraw(n, x, N, p, exact):
     return _kraw_sum(n, x, N, p)
 
 
-@lru_cache(maxsize=None)
-def _racah_windowed(n, x, a, b, c, d):
-    window = min(-a - 1, -b - d - 1, -c - 1)
-    if n < 0 or x < 0 or n > window or x > window:
-        return rational(0)
-    return racah_tilde_raw(n, x, a, b, c, d)
+def _sigma_tables(basis: IrrepBasis):
+    """Angle-independent parts of the closed double sum, built once per basis.
+
+    With S = l21 + l22, the summand of sigma[i, j] at the lattice point
+    (n, ell) factors as A[i; n, ell] * M[S_i, S_j; n, ell] * B[j; n, ell]:
+
+    - A, the row part: (-1)^(l'11 - l31) t(l'21, n + S_i, l'22), the row
+      factorial quotient and the row Racah value, times K_phi(n + l'21,
+      l'11 - l'22; l'21 - l'22);
+    - B, the column part: t(ell, n + S_j, n - ell), the column factorial
+      quotient and the column Racah value, times K_chi(l11 - l22, n + l21;
+      l21 - l22);
+    - M, the shared part: (-1)^(ell - n + l31) (2 ell - n)! times
+      K_theta(ell + S_j, ell + S_i; 2 ell - n).
+
+    The sign is split at l31 so that both exponents stay integers on
+    fractional weights.  Lattice coordinates are shifted onto the integers:
+    a point is keyed by (n + l31, l31 - ell) and a pattern's S is stored as
+    s = S + l31.  The support of a row or column table is exactly that
+    pattern's share of the summation window, so the sum runs over the keys
+    the row and the column have in common.
+
+    Returns (rows, cols, middle, s).  rows[i], cols[j] and
+    middle[(s_i, s_j)] are lists of ((Krawtchouk degree, variable, N),
+    {key: angle-free coefficient}): one item per n for A and B, one per key
+    for M.  s[i] is the shifted S of pattern i.
+    """
+
+    def build():
+        w = basis.weight
+        l31, l32, l33 = w.l31, w.l32, w.l33
+        t = _t_factors(basis)
+        index = basis.index
+        rows, cols = [], []
+        keys_by_s = {}
+        for p in basis:
+            l21, l22, l11 = p.l21, p.l22, p.l11
+            S = l21 + l22
+            width = as_int(l21 - l22)
+            row_sign = neg_one_pow(l11 - l31)
+            keys = keys_by_s.setdefault(as_int(S + l31), set())
+            row, col = [], []
+            for n in _int_range(-l21, -l22):
+                nu = as_int(n + l31)
+                q = index[GTPattern(w, l21, l22, n + S)]
+                row_pref = (
+                    row_sign * t[q] * factorial(width)
+                    / (factorial(n + l21) * factorial(l21 - l11))
+                )
+                col_pref = factorial(width) / (
+                    factorial(l11 - l22) * factorial(-n - l22)
+                )
+                row_coeffs, col_coeffs = {}, {}
+                lo = max(l32, n - l32, -S, n + S)
+                for ell in _int_range(lo, min(l31, n - l33)):
+                    r = _racah_factor(w, l21, l22, n + S, l31 - ell)
+                    if r == 0:
+                        continue
+                    key = (nu, as_int(l31 - ell))
+                    mid = index[GTPattern(w, ell, n - ell, n + S)]
+                    row_coeffs[key] = row_pref / factorial(ell - n - S) * r
+                    col_coeffs[key] = t[mid] * col_pref / factorial(ell + S) * r
+                    keys.add(key)
+                n_plus = as_int(n + l21)
+                row.append(((n_plus, as_int(l11 - l22), width), row_coeffs))
+                col.append(((as_int(l11 - l22), n_plus, width), col_coeffs))
+            rows.append(row)
+            cols.append(col)
+
+        h3 = as_int(3 * l31)  # ell - n + l31 = h3 - lam - nu
+        middle = {}
+        for si, row_keys in keys_by_s.items():
+            for sj, col_keys in keys_by_s.items():
+                parts = middle[(si, sj)] = []
+                for nu, lam in sorted(row_keys & col_keys):
+                    N = h3 - 2 * lam - nu  # 2 ell - n
+                    coeff = neg_one_pow(h3 - lam - nu) * factorial(N)
+                    parts.append(((sj - lam, si - lam, N), {(nu, lam): coeff}))
+        s = tuple(as_int(p.l21 + p.l22 + l31) for p in basis)
+        return rows, cols, middle, s
+
+    return basis.memo(("sigma_tables",), build)
 
 
 def sigma_formula(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     """Closed double sum for sigma: three Krawtchouk and two Racah factors
-    per term, summed over the admissible lattice rectangle.
+    per term, contracted from the per-basis tables of _sigma_tables.
 
     Each Krawtchouk factor is evaluated jointly with its tangent/cosine
     monomial (the tangent exponent is always degree + variable), which keeps
-    entries finite and exact at zero angles."""
+    entries finite and exact at zero angles.  Per call each distinct
+    argument triple is evaluated once per angle; float angles scale the
+    float Krawtchouk values by the float of each exact coefficient."""
     s_chi, c_chi, e1 = sin_cos(angles.chi)
     s_the, c_the, e2 = sin_cos(angles.theta)
     s_phi, c_phi, e3 = sin_cos(angles.phi)
     exact = e1 and e2 and e3
     if c_chi == 0 or c_the == 0 or c_phi == 0:
         raise TanPole("closed-form sigma evaluated at cos = 0")
+    coerce = (lambda v: v) if exact else float
+    rows, cols, middle, s = _sigma_tables(basis)
 
-    w = basis.weight
-    l31, l32, l33 = w.l31, w.l32, w.l33
-    alpha = l32 - l31 - 1
-    zero = rational(0) if exact else 0.0
+    def kraw(sn, cs):
+        """Krawtchouk factor at one angle, each argument triple once."""
+        return lru_cache(maxsize=None)(
+            lambda args: krawtchouk_trig(*args, sn, cs, exact)
+        )
 
+    def weigh(parts, k):
+        """{key: coeff * K(args)} over the (args, {key: coeff}) parts."""
+        out = {}
+        for args, coeffs in parts:
+            kv = k(args)
+            if kv != 0:
+                for key, v in coeffs.items():
+                    out[key] = coerce(v) * kv
+        return out
+
+    k_phi, k_the, k_chi = kraw(s_phi, c_phi), kraw(s_the, c_the), kraw(s_chi, c_chi)
+    a = [weigh(parts, k_phi) for parts in rows]
+    m = {pair: weigh(parts, k_the) for pair, parts in middle.items()}
+    b = [weigh(parts, k_chi) for parts in cols]
+
+    # exact terms are summed as integers over one denominator per row and
+    # per column, so the inner loop never builds a rational
+    split = _common_denominator if exact else (lambda values: (values, 1))
+    col_classes = {}
+    for j, bj in enumerate(b):
+        if bj:
+            col_classes.setdefault(s[j], []).append((j, split(bj)))
     entries = {}
-    for i, row in enumerate(basis):
-        rp21, rp22, rp11 = row.l21, row.l22, row.l11
-        beta_r = rp21 + rp22 + l33 - 1
-        delta_r = -rp21 - rp22 - l31 - 1
-        deg_r = as_int(l31 - rp21)
-        for j, col in enumerate(basis):
-            l21, l22, l11 = col.l21, col.l22, col.l11
-            beta_c = l21 + l22 + l33 - 1
-            delta_c = -l21 - l22 - l31 - 1
-            deg_c = as_int(l31 - l21)
-            acc = zero
-            for n in _int_range(max(-l21, -rp21), min(-l22, -rp22)):
-                k1 = krawtchouk_trig(
-                    n + rp21, rp11 - rp22, rp21 - rp22, s_phi, c_phi, exact
-                )
-                if k1 == 0:
-                    continue
-                k3 = krawtchouk_trig(
-                    l11 - l22, n + l21, l21 - l22, s_chi, c_chi, exact
-                )
-                if k3 == 0:
-                    continue
-                gamma_r = n + rp21 + rp22 - l31 - 1
-                gamma_c = n + l21 + l22 - l31 - 1
-                l_min = max(
-                    l32, n - l32, -l21 - l22, n + l21 + l22,
-                    -rp21 - rp22, n + rp21 + rp22,
-                )
-                for ell in _int_range(l_min, min(l31, n - l33)):
-                    r1 = _racah_windowed(
-                        deg_r, as_int(l31 - ell), alpha, beta_r, gamma_r, delta_r
-                    )
-                    if r1 == 0:
-                        continue
-                    r2 = _racah_windowed(
-                        deg_c, as_int(l31 - ell), alpha, beta_c, gamma_c, delta_c
-                    )
-                    if r2 == 0:
-                        continue
-                    k2 = krawtchouk_trig(
-                        ell + l21 + l22, ell + rp21 + rp22, 2 * ell - n,
-                        s_the, c_the, exact,
-                    )
-                    if k2 == 0:
-                        continue
-                    mu = (
-                        neg_one_pow(rp11 + ell - n)
-                        * _t_factor(w, rp21, n + rp21 + rp22, rp22)
-                        * _t_factor(w, ell, n + l21 + l22, n - ell)
-                        * factorial(rp21 - rp22)
-                        * factorial(2 * ell - n)
-                        * factorial(l21 - l22)
-                        / (
-                            factorial(n + rp21)
-                            * factorial(rp21 - rp11)
-                            * factorial(ell + l21 + l22)
-                            * factorial(ell - n - rp21 - rp22)
-                            * factorial(l11 - l22)
-                            * factorial(-n - l22)
-                        )
-                    )
-                    term = mu * r1 * r2
-                    if exact:
-                        acc += term * k1 * k2 * k3
-                    else:
-                        acc += float(term) * k1 * k2 * k3
-            if acc != 0:
-                entries[(i, j)] = acc
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for sj, js in col_classes.items():
+            mp = m[(s[i], sj)]
+            am, da = split({key: v * mp[key] for key, v in ai.items() if key in mp})
+            if not am:
+                continue
+            for j, (bj, db) in js:
+                acc = 0
+                for key, v in bj.items():
+                    u = am.get(key)
+                    if u is not None:
+                        acc += u * v
+                if acc != 0:
+                    entries[(i, j)] = rational(acc, da * db) if exact else acc
     return PatternMatrix(basis, entries, exact)
+
+
+def _common_denominator(values: dict):
+    """({key: integer numerator}, d) with values[key] = numerator / d."""
+    d = 1
+    for v in values.values():
+        d = lcm(d, v.denominator)
+    return {key: v.numerator * (d // v.denominator) for key, v in values.items()}, d
 
 
 def sigma_symmetric(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
@@ -439,18 +520,17 @@ def hybrid_polynomial(n1, n2, x1, x2, N, alpha, beta, delta, angle: Angle):
 
 def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
     """Closed form for the rotation Rz(eta) . T: one Krawtchouk and one
-    shifted Racah factor per entry, carrying tau's calibrated sign."""
+    shifted Racah factor per entry, carrying tau's global sign."""
     s, c, exact = sin_cos(eta)
     if c == 0:
         raise TanPole("closed-form hybrid sigma evaluated at cos = 0")
     w = basis.weight
-    alpha = w.l32 - w.l31 - 1
     cal = rational(tau_sign(basis))
+    t = _t_factors(basis)
 
     entries = {}
     for i, row in enumerate(basis):
         rp21, rp22, rp11 = row.l21, row.l22, row.l11
-        tfac = _t_factor(w, rp21, rp11, rp22)
         for j, col in enumerate(basis):
             l21, l22, l11 = col.l21, col.l22, col.l11
             if l21 + l22 != rp11 - rp21 - rp22:
@@ -458,19 +538,12 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
             k = krawtchouk_trig(l11 - l22, rp11 - l22, l21 - l22, s, c, exact)
             if k == 0:
                 continue
-            r = _racah_windowed(
-                as_int(w.l31 - l21),
-                as_int(w.l31 - rp21),
-                alpha,
-                rp11 - rp21 - rp22 + w.l33 - 1,
-                rp11 - w.l31 - 1,
-                rp21 + rp22 - rp11 - w.l31 - 1,
-            )
+            r = _racah_factor(w, l21, l22, rp11, w.l31 - rp21)
             if r == 0:
                 continue
             pref = (
                 cal
-                * tfac
+                * t[i]
                 * neg_one_pow(2 * l21 + rp21)
                 * factorial(l21 - l22)
                 / (factorial(l11 - l22) * factorial(l21 - rp11))

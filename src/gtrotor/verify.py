@@ -16,7 +16,7 @@ import numpy as np
 
 from .gt_basis import basis_for, weights_up_to_height, weyl_dimension
 from .numerics import Radians, exact_angle, rational
-from .oracle import rho_oracle
+from .oracle import TAU_SIGN_TOL, rho_oracle, tau_sign_residual
 from .rep import verify_structure
 from .reporting import Report
 from .rotations import (
@@ -197,6 +197,8 @@ def _rotations_weight(weight) -> Report:
     rho = rho_z(a, basis)
     report.add("orthogonality_rho", wname, orthogonality_defect(rho).is_zero())
     report.add("orthogonality_tau", wname, orthogonality_defect(tau(basis)).is_zero())
+    residual = tau_sign_residual(basis)
+    report.add("tau_sign_matches_oracle", wname, residual <= TAU_SIGN_TOL, residual)
     sig = sigma_product(EulerAngles(a, b, a), basis)
     report.add("orthogonality_sigma_product", wname, orthogonality_defect(sig).is_zero())
     ident = EulerAngles(*([PYTHAGOREAN_ANGLES[0]] * 3))

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+import gtrotor.cli as cli
 from gtrotor.cli import run
+from gtrotor.oracle import SignCalibrationFailed
 
 
 def run_capture(capsys, argv):
@@ -149,3 +153,25 @@ def test_verify_rep_height_two(capsys):
     )
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_tau_height_ten_succeeds(capsys):
+    code, out, _ = run_capture(capsys, ["tau", "--weight=6,-2,-4"])
+    assert code == 0
+    assert json.loads(out)["weight"] == "6,-2,-4"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ArithmeticError("boom"), ZeroDivisionError("boom"), SignCalibrationFailed("boom")],
+)
+def test_internal_errors_exit_two_with_message(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_tau", fail)
+    code, out, err = run_capture(capsys, ["tau", "--weight", "1,0,-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "boom" in err
+    assert "Traceback" not in err

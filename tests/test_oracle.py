@@ -8,6 +8,7 @@ from gtrotor.linalg import PatternMatrix
 from gtrotor.numerics import rational
 from gtrotor.oracle import (
     NotARotation,
+    SignCalibrationFailed,
     T_MATRIX,
     calibrate_tau_sign,
     euler_decompose,
@@ -205,3 +206,12 @@ def test_trivial_rep_sign_is_plus_one():
     basis = enumerate_patterns(HighestWeight.of(0, 0, 0))
     assert calibrate_tau_sign(basis) == 1
     assert tau_oracle(basis).get(0, 0) == pytest.approx(1.0)
+
+
+def test_calibrate_tau_sign_rejects_the_opposite_sign(monkeypatch):
+    import gtrotor.rotations as R
+
+    basis = enumerate_patterns(HighestWeight.of(2, 0, -2))
+    monkeypatch.setattr(R, "tau_sign", lambda b: -((-1) ** b.weight.height))
+    with pytest.raises(SignCalibrationFailed):
+        calibrate_tau_sign(basis)

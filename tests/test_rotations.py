@@ -5,7 +5,12 @@ import pytest
 
 from gtrotor.gt_basis import GTPattern, HighestWeight, enumerate_patterns, shift
 from gtrotor.numerics import Radians, exact_angle, rational
-from gtrotor.oracle import T_MATRIX, rho_oracle
+from gtrotor.oracle import (
+    T_MATRIX,
+    calibrate_tau_sign,
+    rho_oracle,
+    tau_sign_residual,
+)
 from gtrotor.rep import element_matrix, j_eigenvalue, y_eigenvalue
 from gtrotor.rotations import (
     EulerAngles,
@@ -187,6 +192,15 @@ def test_tau_carries_calibrated_sign(adjoint):
     assert tau(adjoint) == tau_raw(adjoint).scaled(rational(tau_sign(adjoint)))
 
 
+def test_tau_sign_matches_oracle_height_12():
+    """Height 12 (6,0,-6, dim 343), where the former relative comparison
+    on the unnormalized basis failed: the closed sign agrees with the
+    exponential oracle."""
+    basis = basis_of(6, 0, -6)
+    assert calibrate_tau_sign(basis) == tau_sign(basis)
+    assert tau_sign_residual(basis) < 1e-12
+
+
 # -- sigma: three paths --------------------------------------------------------
 
 
@@ -201,6 +215,43 @@ def test_sigma_formula_equals_product(adjoint):
         EulerAngles(A513, A0, A35),
     ):
         assert sigma_formula(angles, adjoint) == sigma_product(angles, adjoint)
+
+
+# sign-flipped pool angles (every quadrant) and the zero angle
+FLIPPED = (
+    exact_angle(rational(-3, 5), rational(4, 5)),
+    exact_angle(rational(5, 13), rational(-12, 13)),
+    exact_angle(rational(-8, 17), rational(-15, 17)),
+    A0,
+)
+FLIPPED_TRIPLES = [
+    EulerAngles(FLIPPED[0], FLIPPED[1], FLIPPED[2]),
+    EulerAngles(FLIPPED[1], FLIPPED[2], FLIPPED[3]),
+    EulerAngles(FLIPPED[3], FLIPPED[0], FLIPPED[1]),
+    EulerAngles(FLIPPED[2], FLIPPED[3], FLIPPED[0]),
+]
+
+
+@pytest.mark.parametrize(
+    "triple", [(3, 0, -3), (rational(4, 3), rational(1, 3), rational(-5, 3))]
+)
+def test_sigma_formula_equals_product_beyond_gate(triple):
+    """Exact cross-path equality above the acceptance gate's height 5
+    (3,0,-3 is dim 64, height 6) and on a fractional weight."""
+    basis = basis_of(*triple)
+    for angles in FLIPPED_TRIPLES:
+        assert sigma_formula(angles, basis) == sigma_product(angles, basis)
+
+
+def test_sigma_formula_float_matches_product():
+    basis = basis_of(2, 1, -3)
+    for chi, theta, phi in ((0.3, 1.1, -0.4), (-2.5, 2.9, 1.7), (3.0, -0.2, 0.0)):
+        angles = EulerAngles(Radians(chi), Radians(theta), Radians(phi))
+        formula = sigma_formula(angles, basis)
+        assert not formula.exact
+        product = sigma_product(angles, basis)
+        # orthonormal scale: both matrices are orthogonal with O(1) entries
+        assert np.max(np.abs(formula.zeta_numpy() - product.zeta_numpy())) < 1e-9
 
 
 def test_sigma_orthogonality_exact(adjoint):
