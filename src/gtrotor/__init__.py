@@ -34,7 +34,6 @@ from .rep import element_matrix, generator_matrix, to_normalized, verify_structu
 from .rotations import (
     EulerAngles,
     NotSymmetricRep,
-    TanPole,
     bispectral_residual,
     hybrid_sigma,
     rho_z,

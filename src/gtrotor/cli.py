@@ -27,7 +27,7 @@ from .numerics import (
 from .oracle import SignCalibrationFailed, rho_oracle
 from .racah_algebra import hilbert_series_coeffs
 from .rep import ELEMENT_NAMES, element_matrix
-from .rotations import EulerAngles, TanPole, rotation_matrix, sigma_formula, sigma_product, tau
+from .rotations import EulerAngles, rotation_matrix, sigma_formula, sigma_product, tau
 from .specfun import KrawtchoukParams, RacahParams, krawtchouk, racah_tilde
 from .verify import run_suites
 
@@ -125,15 +125,17 @@ def cmd_sigma(args) -> int:
     basis = basis_for(_parse_weight(args.weight))
     angles = _parse_angles(args.angles)
     mode = "exact" if angles.all_exact() else "float"
-    try:
-        if args.path == "formula":
-            m = sigma_formula(angles, basis)
-        elif args.path == "product":
-            m = sigma_product(angles, basis)
-        else:
-            m = rho_oracle(np.array(rotation_matrix(angles), dtype=float), basis)
-    except TanPole as exc:
-        raise DomainError(f"{exc}; use --path product or --path oracle") from exc
+    if args.path == "formula":
+        if mode != "exact":
+            raise DomainError(
+                "--path formula takes exact angles 's:c'; "
+                "use --path product or --path oracle for rad= angles"
+            )
+        m = sigma_formula(angles, basis)
+    elif args.path == "product":
+        m = sigma_product(angles, basis)
+    else:
+        m = rho_oracle(np.array(rotation_matrix(angles), dtype=float), basis)
     header = {
         "weight": str(basis.weight),
         "angles": {

@@ -19,6 +19,14 @@ class NonCancellingNorms(ArithmeticError):
     """A normalized-basis entry kept an unresolved square root."""
 
 
+def norm_vector(basis: IrrepBasis) -> np.ndarray:
+    """Float norms N_i of the basis vectors, built once per basis."""
+    return basis.memo(
+        ("norm_vector",),
+        lambda: np.sqrt(np.array([float(v) for v in basis.norms_sq()])),
+    )
+
+
 def _clean(entries):
     return {k: v for k, v in entries.items() if v != 0}
 
@@ -77,12 +85,14 @@ class PatternMatrix:
 
         Change-of-basis and algebra-element matrices conjugate the same way:
         entry (i, j) picks up N_i / N_j."""
-        d = np.sqrt(np.array([float(v) for v in self.basis.norms_sq()]))
+        d = norm_vector(self.basis)
         return (d[:, None] * self.to_numpy()) / d[None, :]
 
     @classmethod
     def from_zeta_numpy(cls, basis, array) -> "PatternMatrix":
-        d = np.sqrt(np.array([float(v) for v in basis.norms_sq()]))
+        """Inverse of zeta_numpy: a float matrix in the orthonormal basis
+        carried back to the unnormalized one."""
+        d = norm_vector(basis)
         return cls.from_numpy(basis, np.asarray(array, dtype=float) * d[None, :] / d[:, None])
 
     def to_float(self) -> "PatternMatrix":

@@ -62,28 +62,12 @@ def exp_matrix(m: PatternMatrix, scale: float = 1.0) -> PatternMatrix:
     return PatternMatrix.from_numpy(m.basis, _expm(scale * m.to_numpy()))
 
 
-def _norm_vector(basis: IrrepBasis) -> np.ndarray:
-    return np.sqrt(np.array([float(v) for v in basis.norms_sq()]))
-
-
-def _zeta(basis: IrrepBasis, name: str) -> np.ndarray:
-    """Float matrix of a generator in the orthonormal basis."""
-    d = _norm_vector(basis)
-    m = generator_matrix(name, basis).to_numpy()
-    return (d[:, None] * m) / d[None, :]
-
-
-def _to_xi(basis: IrrepBasis, zeta_matrix: np.ndarray) -> PatternMatrix:
-    d = _norm_vector(basis)
-    return PatternMatrix.from_numpy(basis, zeta_matrix * d[None, :] / d[:, None])
-
-
 def _lz(basis: IrrepBasis) -> np.ndarray:
-    return _zeta(basis, "e12") - _zeta(basis, "e21")
+    return (generator_matrix("e12", basis) - generator_matrix("e21", basis)).zeta_numpy()
 
 
 def _lt(basis: IrrepBasis) -> np.ndarray:
-    return _zeta(basis, "e23") - _zeta(basis, "e32")
+    return (generator_matrix("e23", basis) - generator_matrix("e32", basis)).zeta_numpy()
 
 
 def _tau_zeta(basis: IrrepBasis) -> np.ndarray:
@@ -95,12 +79,12 @@ def _tau_zeta(basis: IrrepBasis) -> np.ndarray:
 
 def rho_z_oracle(phi: float, basis: IrrepBasis) -> PatternMatrix:
     """Operator representing the inverse z-rotation, by exponential."""
-    return _to_xi(basis, _expm(-phi * _lz(basis)))
+    return PatternMatrix.from_zeta_numpy(basis, _expm(-phi * _lz(basis)))
 
 
 def tau_oracle(basis: IrrepBasis) -> PatternMatrix:
     """Operator representing T^-1, by exponential."""
-    return _to_xi(basis, _tau_zeta(basis))
+    return PatternMatrix.from_zeta_numpy(basis, _tau_zeta(basis))
 
 
 def euler_decompose(r) -> EulerAngles:
@@ -129,7 +113,7 @@ def rho_oracle(r, basis: IrrepBasis) -> PatternMatrix:
     out = _expm(-angles.phi.value * lz)
     out = out @ t.T @ _expm(-angles.theta.value * lz) @ t
     out = out @ _expm(-angles.chi.value * lz)
-    return _to_xi(basis, out)
+    return PatternMatrix.from_zeta_numpy(basis, out)
 
 
 T_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])

@@ -12,8 +12,9 @@ from __future__ import annotations
 from .gt_basis import IrrepBasis, shift
 from .linalg import PatternMatrix
 from .numerics import rational
-from .rep import element_matrix, generator_matrix
+from .rep import element_matrix, generator_matrix, sl2_casimir
 from .reporting import Report
+from .rotations import tau, tau_inverse
 from .specfun import racah_recurrence_coefficients
 
 
@@ -24,18 +25,12 @@ def jbar_matrix(basis: IrrepBasis, verify: bool = True) -> PatternMatrix:
     exactly (the global sign of tau drops out, so no oracle is involved)."""
 
     def build():
-        d = generator_matrix("e11", basis) - generator_matrix("e33", basis)
-        return (d @ d + d.scaled(rational(2))).scaled(rational(1, 4)) + (
-            generator_matrix("e31", basis) @ generator_matrix("e13", basis)
-        )
+        g = lambda n: generator_matrix(n, basis)
+        return sl2_casimir(g("e11") - g("e33"), g("e31"), g("e13"))
 
     jbar = basis.memo(("jbar",), build)
     if verify:
-        from .rotations import tau, tau_inverse
-
-        conj = tau_inverse(basis, calibrated=False) @ element_matrix("J", basis) @ tau(
-            basis, calibrated=False
-        )
+        conj = tau_inverse(basis) @ element_matrix("J", basis) @ tau(basis)
         if conj != jbar:
             raise AssertionError(f"tau conjugation of J disagrees for {basis.weight}")
     return jbar

@@ -110,6 +110,12 @@ def h_eigenvalue(p: GTPattern):
     return 2 * p.l11 - p.l21 - p.l22
 
 
+def sl2_casimir(d: PatternMatrix, lower: PatternMatrix, upper: PatternMatrix):
+    """Casimir (d^2 + 2d)/4 + lower upper of the sl2 with Cartan element d
+    and raising/lowering pair (upper, lower)."""
+    return (d @ d + d.scaled(rational(2))).scaled(rational(1, 4)) + lower @ upper
+
+
 def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
     """Matrix of a named algebra element, composed from generator matrices."""
     if name in GENERATOR_NAMES:
@@ -128,10 +134,7 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
                 out = out + g(f"e{i}{j}") @ g(f"e{j}{k}") @ g(f"e{k}{i}")
             return out
         if name == "J":
-            d = g("e11") - g("e22")
-            return (d @ d + d.scaled(rational(2))).scaled(rational(1, 4)) + g(
-                "e21"
-            ) @ g("e12")
+            return sl2_casimir(g("e11") - g("e22"), g("e21"), g("e12"))
         if name == "Y":
             return (g("e11") + g("e22") - g("e33").scaled(rational(2))).scaled(
                 rational(1, 3)

@@ -28,12 +28,18 @@ from .numerics import (
     rational,
     sin_cos,
 )
-from .rep import element_matrix, generator_matrix, h_eigenvalue
-from .specfun import krawtchouk_trig, racah_tilde_raw
+from .rep import element_matrix, generator_matrix, h_eigenvalue, sl2_casimir
+from .specfun import (
+    KrawtchoukParams,
+    RacahParams,
+    krawtchouk,
+    krawtchouk_trig,
+    racah_pattern_params,
+    racah_tilde,
+)
 
 __all__ = [
     "EulerAngles",
-    "TanPole",
     "NotSymmetricRep",
     "rho_z",
     "tau",
@@ -51,10 +57,6 @@ __all__ = [
     "psi_element",
     "orthogonality_defect",
 ]
-
-
-class TanPole(ArithmeticError):
-    """Closed form requested at an exact angle with cos = 0."""
 
 
 class NotSymmetricRep(ValueError):
@@ -79,15 +81,14 @@ class EulerAngles:
 
 def _rho_entry(n: int, x: int, N: int, s, c, exact: bool):
     pref = neg_one_pow(x) * factorial(N) / (factorial(n) * factorial(N - x))
-    joint = krawtchouk_trig(n, x, N, s, c, exact)
+    joint = krawtchouk_trig(n, x, N, s, c)
     return pref * joint if exact else float(pref) * joint
 
 
 def rho_z(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
-    """Change of basis for a z-rotation; exact for ExactOnCircle angles."""
+    """Change of basis for a z-rotation; exact for ExactOnCircle angles,
+    cos = 0 included."""
     s, c, exact = sin_cos(angle)
-    if c == 0:
-        raise TanPole("closed-form z-rotation evaluated at cos = 0")
 
     def build():
         entries = {}
@@ -145,25 +146,10 @@ def _t_factors(basis: IrrepBasis) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _racah_windowed(n, x, a, b, c, d):
-    window = min(-a - 1, -b - d - 1, -c - 1)
-    if n < 0 or x < 0 or n > window or x > window:
-        return rational(0)
-    return racah_tilde_raw(n, x, a, b, c, d)
-
-
-def _racah_factor(w, l21, l22, l11, x):
-    """Shifted Racah factor of degree l31-l21 at variable x, with every
-    parameter read off the pattern (l21, l22, l11); zero outside the window."""
-    return _racah_windowed(
-        as_int(w.l31 - l21),
-        as_int(x),
-        w.l32 - w.l31 - 1,
-        l21 + l22 + w.l33 - 1,
-        l11 - w.l31 - 1,
-        -l21 - l22 - w.l31 - 1,
-    )
+def _racah_factor(p: GTPattern, x):
+    """Shifted Racah factor of degree l31 - l21 at variable x, with the
+    parameters of pattern p; zero outside the window."""
+    return racah_tilde(as_int(p.weight.l31 - p.l21), x, racah_pattern_params(p))
 
 
 # --------------------------------------------------------------------------
@@ -172,22 +158,23 @@ def _racah_factor(w, l21, l22, l11, x):
 
 def tau_raw(basis: IrrepBasis) -> PatternMatrix:
     """Closed-form tau with the sign convention as derived, before the
-    global sign."""
+    global sign.  Row i couples only to the columns with the same l11 and
+    with l21 + l22 = l'11 - l'21 - l'22, looked up by that key."""
 
     def build():
         w = basis.weight
         t = _t_factors(basis)
-        entries = {}
+        cols = {}
         for j, col in enumerate(basis):
-            for i, row in enumerate(basis):
-                if row.l11 != col.l11:
-                    continue
-                if col.l21 + col.l22 != row.l11 - row.l21 - row.l22:
-                    continue
+            cols.setdefault((col.l11, col.l21 + col.l22), []).append(j)
+        entries = {}
+        for i, row in enumerate(basis):
+            for j in cols.get((row.l11, row.l11 - row.l21 - row.l22), ()):
+                col = basis[j]
                 v = (
                     t[i]
                     * neg_one_pow(row.l22 - col.l21)
-                    * _racah_factor(w, col.l21, col.l22, col.l11, w.l31 - row.l21)
+                    * _racah_factor(col, w.l31 - row.l21)
                 )
                 if v != 0:
                     entries[(i, j)] = v
@@ -203,40 +190,28 @@ def tau_sign(basis: IrrepBasis) -> int:
     return neg_one_pow(w.l31 - w.l33)
 
 
-def tau(basis: IrrepBasis, calibrated: bool = True) -> PatternMatrix:
-    if not calibrated:
-        return tau_raw(basis)
+def tau(basis: IrrepBasis) -> PatternMatrix:
     return basis.memo(
         ("tau",), lambda: tau_raw(basis).scaled(rational(tau_sign(basis)))
     )
 
 
-def tau_inverse(basis: IrrepBasis, calibrated: bool = True) -> PatternMatrix:
+def tau_inverse(basis: IrrepBasis) -> PatternMatrix:
     """Inverse of tau through the squared-norm ratios (exact, no roots)."""
 
     def build():
-        t = tau(basis, calibrated)
+        t = tau(basis)
         nsq = basis.norms_sq()
         entries = {
             (j, i): nsq[i] / nsq[j] * v for (i, j), v in t.entries.items()
         }
         return PatternMatrix(basis, entries)
 
-    return basis.memo(("tau_inverse", calibrated), build)
+    return basis.memo(("tau_inverse",), build)
 
 
 # --------------------------------------------------------------------------
 # sigma: general rotations
-
-
-def _rho_factor(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
-    """rho for one Euler angle; cos = 0 falls back to the float oracle."""
-    _, c, _ = sin_cos(angle)
-    if c == 0:
-        from .oracle import rho_z_oracle
-
-        return rho_z_oracle(angle.radians(), basis)
-    return rho_z(angle, basis)
 
 
 def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
@@ -246,10 +221,10 @@ def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     through the orthonormal basis, where every factor is an orthogonal matrix
     and the factorial-sized entries of the raw basis cannot amplify roundoff.
     """
-    rho_phi = _rho_factor(angles.phi, basis)
-    rho_theta = _rho_factor(angles.theta, basis)
-    rho_chi = _rho_factor(angles.chi, basis)
-    if rho_phi.exact and rho_theta.exact and rho_chi.exact:
+    rho_phi = rho_z(angles.phi, basis)
+    rho_theta = rho_z(angles.theta, basis)
+    rho_chi = rho_z(angles.chi, basis)
+    if angles.all_exact():
         left = rho_phi @ tau_inverse(basis)
         return left @ rho_theta @ tau(basis) @ rho_chi
     t = tau(basis).zeta_numpy()
@@ -257,22 +232,20 @@ def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     return PatternMatrix.from_zeta_numpy(basis, out @ rho_chi.zeta_numpy())
 
 
+def _exact_sin_cos(angle: Angle):
+    """(sin, cos) of an exact angle; the closed forms take no float angles."""
+    if not angle.exact:
+        raise ValueError(
+            f"closed forms take exact angles 's:c', got {angle}; use "
+            "sigma_product or the oracle for float angles"
+        )
+    return angle.sin, angle.cos
+
+
 def _int_range(lo, hi):
     """Unit-step values from lo to hi inclusive (rational lattice points)."""
     count = as_int(hi - lo)
     return [lo + k for k in range(count + 1)] if count >= 0 else []
-
-
-def _kraw(n, x, N, p, exact):
-    """Krawtchouk value with the out-of-range convention, uncached floats."""
-    from .specfun import _kraw_sum, _kraw_sum_exact
-
-    n, x, N = as_int(n), as_int(x), as_int(N)
-    if n < 0 or n > N or x < 0 or x > N:
-        return rational(0) if exact else 0.0
-    if exact:
-        return _kraw_sum_exact(n, rational(x), N, p)
-    return _kraw_sum(n, x, N, p)
 
 
 def _sigma_tables(basis: IrrepBasis):
@@ -330,7 +303,7 @@ def _sigma_tables(basis: IrrepBasis):
                 row_coeffs, col_coeffs = {}, {}
                 lo = max(l32, n - l32, -S, n + S)
                 for ell in _int_range(lo, min(l31, n - l33)):
-                    r = _racah_factor(w, l21, l22, n + S, l31 - ell)
+                    r = _racah_factor(basis[q], l31 - ell)
                     if r == 0:
                         continue
                     key = (nu, as_int(l31 - ell))
@@ -361,27 +334,21 @@ def _sigma_tables(basis: IrrepBasis):
 
 def sigma_formula(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     """Closed double sum for sigma: three Krawtchouk and two Racah factors
-    per term, contracted from the per-basis tables of _sigma_tables.
+    per term, contracted from the per-basis tables of _sigma_tables.  Exact
+    angles only.
 
     Each Krawtchouk factor is evaluated jointly with its tangent/cosine
     monomial (the tangent exponent is always degree + variable), which keeps
-    entries finite and exact at zero angles.  Per call each distinct
-    argument triple is evaluated once per angle; float angles scale the
-    float Krawtchouk values by the float of each exact coefficient."""
-    s_chi, c_chi, e1 = sin_cos(angles.chi)
-    s_the, c_the, e2 = sin_cos(angles.theta)
-    s_phi, c_phi, e3 = sin_cos(angles.phi)
-    exact = e1 and e2 and e3
-    if c_chi == 0 or c_the == 0 or c_phi == 0:
-        raise TanPole("closed-form sigma evaluated at cos = 0")
-    coerce = (lambda v: v) if exact else float
+    entries finite and exact at every angle.  Per call each distinct
+    argument triple is evaluated once per angle."""
+    s_chi, c_chi = _exact_sin_cos(angles.chi)
+    s_the, c_the = _exact_sin_cos(angles.theta)
+    s_phi, c_phi = _exact_sin_cos(angles.phi)
     rows, cols, middle, s = _sigma_tables(basis)
 
     def kraw(sn, cs):
         """Krawtchouk factor at one angle, each argument triple once."""
-        return lru_cache(maxsize=None)(
-            lambda args: krawtchouk_trig(*args, sn, cs, exact)
-        )
+        return lru_cache(maxsize=None)(lambda args: krawtchouk_trig(*args, sn, cs))
 
     def weigh(parts, k):
         """{key: coeff * K(args)} over the (args, {key: coeff}) parts."""
@@ -390,7 +357,7 @@ def sigma_formula(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
             kv = k(args)
             if kv != 0:
                 for key, v in coeffs.items():
-                    out[key] = coerce(v) * kv
+                    out[key] = v * kv
         return out
 
     k_phi, k_the, k_chi = kraw(s_phi, c_phi), kraw(s_the, c_the), kraw(s_chi, c_chi)
@@ -398,20 +365,21 @@ def sigma_formula(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     m = {pair: weigh(parts, k_the) for pair, parts in middle.items()}
     b = [weigh(parts, k_chi) for parts in cols]
 
-    # exact terms are summed as integers over one denominator per row and
-    # per column, so the inner loop never builds a rational
-    split = _common_denominator if exact else (lambda values: (values, 1))
+    # terms are summed as integers over one denominator per row and per
+    # column, so the inner loop never builds a rational
     col_classes = {}
     for j, bj in enumerate(b):
         if bj:
-            col_classes.setdefault(s[j], []).append((j, split(bj)))
+            col_classes.setdefault(s[j], []).append((j, _common_denominator(bj)))
     entries = {}
     for i, ai in enumerate(a):
         if not ai:
             continue
         for sj, js in col_classes.items():
             mp = m[(s[i], sj)]
-            am, da = split({key: v * mp[key] for key, v in ai.items() if key in mp})
+            am, da = _common_denominator(
+                {key: v * mp[key] for key, v in ai.items() if key in mp}
+            )
             if not am:
                 continue
             for j, (bj, db) in js:
@@ -421,8 +389,8 @@ def sigma_formula(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
                     if u is not None:
                         acc += u * v
                 if acc != 0:
-                    entries[(i, j)] = rational(acc, da * db) if exact else acc
-    return PatternMatrix(basis, entries, exact)
+                    entries[(i, j)] = rational(acc, da * db)
+    return PatternMatrix(basis, entries)
 
 
 def _common_denominator(values: dict):
@@ -443,13 +411,9 @@ def sigma_symmetric(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     if w.l32 != w.l33:
         raise NotSymmetricRep(f"{w} has l32 != l33")
     m = w.l33
-    s_chi, c_chi, e1 = sin_cos(angles.chi)
-    s_the, c_the, e2 = sin_cos(angles.theta)
-    s_phi, c_phi, e3 = sin_cos(angles.phi)
-    exact = e1 and e2 and e3
-    if c_chi == 0 or c_the == 0 or c_phi == 0:
-        raise TanPole("closed-form sigma evaluated at cos = 0")
-    zero = rational(0) if exact else 0.0
+    s_chi, c_chi = _exact_sin_cos(angles.chi)
+    s_the, c_the = _exact_sin_cos(angles.theta)
+    s_phi, c_phi = _exact_sin_cos(angles.phi)
 
     entries = {}
     for i, row in enumerate(basis):
@@ -457,18 +421,18 @@ def sigma_symmetric(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
         for j, col in enumerate(basis):
             lp21, lp11 = col.l21, col.l11
             sign = neg_one_pow((l11 - l21) + (m - l21))
-            acc = zero
+            acc = rational(0)
             for ell in _int_range(max(rational(0), l21 - lp21), l21 - m):
-                k1 = krawtchouk_trig(ell, l11 - m, l21 - m, s_phi, c_phi, exact)
+                k1 = krawtchouk_trig(ell, l11 - m, l21 - m, s_phi, c_phi)
                 if k1 == 0:
                     continue
                 k2 = krawtchouk_trig(
-                    ell + lp21 - l21, ell, ell - l21 - 2 * m, s_the, c_the, exact
+                    ell + lp21 - l21, ell, ell - l21 - 2 * m, s_the, c_the
                 )
                 if k2 == 0:
                     continue
                 k3 = krawtchouk_trig(
-                    lp11 - m, ell + lp21 - l21, lp21 - m, s_chi, c_chi, exact
+                    lp11 - m, ell + lp21 - l21, lp21 - m, s_chi, c_chi
                 )
                 if k3 == 0:
                     continue
@@ -484,13 +448,10 @@ def sigma_symmetric(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
                         * factorial(l21 - ell - m)
                     )
                 )
-                if exact:
-                    acc += sign * pref * k1 * k2 * k3
-                else:
-                    acc += sign * float(pref) * k1 * k2 * k3
+                acc += sign * pref * k1 * k2 * k3
             if acc != 0:
                 entries[(i, j)] = acc
-    return PatternMatrix(basis, entries, exact)
+    return PatternMatrix(basis, entries)
 
 
 def hybrid_variables(row: GTPattern, col: GTPattern) -> dict:
@@ -507,23 +468,17 @@ def hybrid_variables(row: GTPattern, col: GTPattern) -> dict:
 
 def hybrid_polynomial(n1, n2, x1, x2, N, alpha, beta, delta, angle: Angle):
     """Bivariate hybrid function: Krawtchouk in (x1 - n2), shifted Racah in
-    x2 with gamma tied to x1."""
-    s, _, exact = sin_cos(angle)
-    p = s * s
-    k = _kraw(n1, x1 - n2, N - 2 * n2, p, exact)
-    r = _racah_windowed(
-        as_int(n2), as_int(x2),
-        rational(alpha), rational(beta), rational(x1 - N - 1), rational(delta),
-    )
-    return k * r if exact else k * float(r)
+    x2 with gamma tied to x1.  Exact angles only."""
+    s, _ = _exact_sin_cos(angle)
+    k = krawtchouk(n1, x1 - n2, KrawtchoukParams(s * s, N - 2 * n2))
+    return k * racah_tilde(n2, x2, RacahParams(alpha, beta, x1 - N - 1, delta))
 
 
 def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
     """Closed form for the rotation Rz(eta) . T: one Krawtchouk and one
-    shifted Racah factor per entry, carrying tau's global sign."""
-    s, c, exact = sin_cos(eta)
-    if c == 0:
-        raise TanPole("closed-form hybrid sigma evaluated at cos = 0")
+    shifted Racah factor per entry, carrying tau's global sign.  Exact
+    angles only."""
+    s, c = _exact_sin_cos(eta)
     w = basis.weight
     cal = rational(tau_sign(basis))
     t = _t_factors(basis)
@@ -535,10 +490,10 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
             l21, l22, l11 = col.l21, col.l22, col.l11
             if l21 + l22 != rp11 - rp21 - rp22:
                 continue
-            k = krawtchouk_trig(l11 - l22, rp11 - l22, l21 - l22, s, c, exact)
+            k = krawtchouk_trig(l11 - l22, rp11 - l22, l21 - l22, s, c)
             if k == 0:
                 continue
-            r = _racah_factor(w, l21, l22, rp11, w.l31 - rp21)
+            r = _racah_factor(GTPattern(w, l21, l22, rp11), w.l31 - rp21)
             if r == 0:
                 continue
             pref = (
@@ -548,13 +503,8 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
                 * factorial(l21 - l22)
                 / (factorial(l11 - l22) * factorial(l21 - rp11))
             )
-            if exact:
-                v = pref * r * k
-            else:
-                v = float(pref * r) * k
-            if v != 0:
-                entries[(i, j)] = v
-    return PatternMatrix(basis, entries, exact)
+            entries[(i, j)] = pref * r * k
+    return PatternMatrix(basis, entries)
 
 
 # --------------------------------------------------------------------------
@@ -615,10 +565,7 @@ def psi_element(s3, name: str, basis: IrrepBasis) -> PatternMatrix:
             rational(1, 3)
         )
     if name == "J":
-        d = p(1, 1) - p(2, 2)
-        return (d @ d + d.scaled(rational(2))).scaled(rational(1, 4)) + p(2, 1) @ p(
-            1, 2
-        )
+        return sl2_casimir(p(1, 1) - p(2, 2), p(2, 1), p(1, 2))
     raise ValueError(f"bispectral residuals are defined for H, Y, J; got {name!r}")
 
 

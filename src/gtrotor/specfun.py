@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gt_basis import GTPattern
-from .numerics import Exact, as_int, is_exact, rational
+from .numerics import Exact, as_int, is_exact, neg_one_pow, rational
 from .reporting import Report
 
 
@@ -111,32 +111,30 @@ def _kraw_trig_coeffs(n: int, x: int, N: int):
     return tuple(coeffs)
 
 
-def krawtchouk_trig(n, x, N, s, c, exact: bool):
-    """tan^(n+x) * cos^N * K_n(x; sin^2, N) expanded into monomials in sin.
+def krawtchouk_trig(n, x, N, s, c):
+    """tan^(n+x) * cos^N * K_n(x; sin^2, N) expanded into monomials in sin
+    and cos, a polynomial on the whole circle; exact when s is exact.
 
     The joint expansion stays exact at sin = 0, where the bare Krawtchouk
-    value diverges termwise against the vanishing tangent power.  Out-of-range
-    degree or variable gives zero, as for the bare polynomial.
-
-    In float mode with n + x > N the direct sum cancels catastrophically as
-    cos -> 0; the reflection symmetry (degree and variable reflected through
-    N, up to sign) carries the smallness in an explicit positive cosine power
-    instead, so that branch is used there.  The exact path always sums
-    directly, keeping the symmetry test an independent check."""
+    value diverges termwise against the vanishing tangent power.  When
+    n + x > N the reflection K(n, x) = (-1)^(n+x-N) K(N-n, N-x) of the joint
+    value is applied first, so the cosine power is never negative: the value
+    stays finite and exact at cos = 0, float sums do not cancel as cos -> 0,
+    and fewer terms are summed.  Out-of-range degree or variable gives zero,
+    as for the bare polynomial."""
     n, x, N = as_int(n), as_int(x), as_int(N)
+    exact = is_exact(s)
     if n < 0 or n > N or x < 0 or x > N:
         return rational(0) if exact else 0.0
-    sign = 1.0
-    if not exact and n + x > N:
-        if (n + x - N) % 2:
-            sign = -1.0
+    sign = 1
+    if n + x > N:
+        sign = neg_one_pow(n + x - N)
         n, x = N - n, N - x
-    cfac = c ** (N - n - x)
-    if exact:
-        return sum(coef * s**sp for sp, coef in _kraw_trig_coeffs(n, x, N)) * cfac
-    return sign * sum(
-        float(coef) * s**sp for sp, coef in _kraw_trig_coeffs(n, x, N)
-    ) * cfac
+    total = sum(
+        (coef if exact else float(coef)) * s**sp
+        for sp, coef in _kraw_trig_coeffs(n, x, N)
+    )
+    return sign * total * c ** (N - n - x)
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,21 @@ def test_tau_matches_library(capsys):
 
 
 def test_sigma_paths_agree(capsys):
-    argv = ["sigma", "--weight", "2/3,-1/3,-1/3", "--angles", "3/5:4/5,0:1,3/5:4/5"]
-    _, out_formula, _ = run_capture(capsys, argv + ["--path", "formula"])
-    _, out_product, _ = run_capture(capsys, argv + ["--path", "product"])
-    formula = json.loads(out_formula)
-    product = json.loads(out_product)
-    assert formula["entries"] == product["entries"]
-    assert formula["angles"]["mode"] == "exact"
-    assert formula["path"] == "formula"
+    """Formula and product print the same exact entries, cos = 0 included."""
+    for weight, angles in (
+        ("2/3,-1/3,-1/3", "3/5:4/5,0:1,3/5:4/5"),
+        ("1,0,-1", "1:0,3/5:4/5,0:1"),
+        ("2,0,-2", "1:0,3/5:4/5,5/13:12/13"),
+    ):
+        argv = ["sigma", f"--weight={weight}", f"--angles={angles}"]
+        code, out_formula, _ = run_capture(capsys, argv + ["--path=formula"])
+        assert code == 0
+        _, out_product, _ = run_capture(capsys, argv + ["--path=product"])
+        formula = json.loads(out_formula)
+        product = json.loads(out_product)
+        assert formula["entries"] == product["entries"]
+        assert formula["angles"]["mode"] == "exact"
+        assert formula["path"] == "formula"
 
 
 def test_sigma_oracle_path_float(capsys):
@@ -84,6 +91,18 @@ def test_sigma_oracle_path_float(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["angles"]["mode"] == "float"
+
+
+def test_sigma_formula_rejects_float_angles(capsys):
+    code, out, err = run_capture(
+        capsys,
+        ["sigma", "--weight=1,0,-1", "--angles=rad=0.3,rad=1.1,rad=-0.4",
+         "--path=formula"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--path product" in err and "--path oracle" in err
 
 
 def test_polys_eval_krawtchouk(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns
-from gtrotor.linalg import PatternMatrix
+from gtrotor.linalg import PatternMatrix, norm_vector
 from gtrotor.numerics import rational
 from gtrotor.oracle import (
     NotARotation,
@@ -17,7 +17,6 @@ from gtrotor.oracle import (
     rho_z_oracle,
     require_rotation,
     tau_oracle,
-    _norm_vector,
 )
 from gtrotor.rep import generator_matrix
 from gtrotor.rotations import rotation_matrix
@@ -56,7 +55,7 @@ def test_exp_of_zero_is_identity(adjoint):
 
 
 def test_exp_of_antisymmetric_is_orthogonal(adjoint):
-    d = _norm_vector(adjoint)
+    d = norm_vector(adjoint)
     lz = generator_matrix("e12", adjoint).to_numpy() - generator_matrix(
         "e21", adjoint
     ).to_numpy()
@@ -143,7 +142,7 @@ def test_rho_oracle_defining_is_reversed_transpose(defining):
         r = random_rotation(rng)
         got = rho_oracle(r, defining)
         expected = rev @ r.T @ rev
-        d = _norm_vector(defining)
+        d = norm_vector(defining)
         zeta = d[:, None] * got.to_numpy() / d[None, :]
         assert np.max(np.abs(zeta - expected)) < 1e-12
 

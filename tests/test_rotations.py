@@ -1,21 +1,25 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gtrotor.gt_basis import GTPattern, HighestWeight, enumerate_patterns, shift
 from gtrotor.numerics import Radians, exact_angle, rational
+import gtrotor
 from gtrotor.oracle import (
     T_MATRIX,
     calibrate_tau_sign,
     rho_oracle,
+    rho_z_oracle,
     tau_sign_residual,
 )
 from gtrotor.rep import element_matrix, j_eigenvalue, y_eigenvalue
 from gtrotor.rotations import (
     EulerAngles,
     NotSymmetricRep,
-    TanPole,
     bispectral_residual,
     h_recurrence_explicit_residual,
     hybrid_polynomial,
@@ -36,6 +40,8 @@ from gtrotor.rotations import (
 A0 = exact_angle(0, 1)
 A35 = exact_angle(rational(3, 5), rational(4, 5))
 A513 = exact_angle(rational(5, 13), rational(12, 13))
+POLE = exact_angle(1, 0)
+NEG_POLE = exact_angle(-1, 0)
 
 
 def basis_of(*triple):
@@ -65,9 +71,16 @@ def test_rho_block_structure(adjoint):
         assert (adjoint[i].l21, adjoint[i].l22) == (adjoint[j].l21, adjoint[j].l22)
 
 
-def test_rho_tan_pole(adjoint):
-    with pytest.raises(TanPole):
-        rho_z(exact_angle(1, 0), adjoint)
+def test_rho_tan_pole(adjoint, defining):
+    """At cos = 0, where tan has its pole, rho_z is exact, orthogonal and
+    agrees with the exponential at the orthonormal scale."""
+    for angle in (POLE, NEG_POLE):
+        for basis in (adjoint, defining, basis_of(3, 0, -3)):
+            m = rho_z(angle, basis)
+            assert m.exact
+            assert orthogonality_defect(m).is_zero()
+            oracle = rho_z_oracle(angle.radians(), basis)
+            assert np.max(np.abs(m.zeta_numpy() - oracle.zeta_numpy())) < 1e-12
 
 
 def test_rho_matches_oracle_on_defining(defining):
@@ -217,18 +230,23 @@ def test_sigma_formula_equals_product(adjoint):
         assert sigma_formula(angles, adjoint) == sigma_product(angles, adjoint)
 
 
-# sign-flipped pool angles (every quadrant) and the zero angle
+# sign-flipped pool angles (every quadrant), the zero angle and both poles
 FLIPPED = (
     exact_angle(rational(-3, 5), rational(4, 5)),
     exact_angle(rational(5, 13), rational(-12, 13)),
     exact_angle(rational(-8, 17), rational(-15, 17)),
     A0,
+    POLE,
+    NEG_POLE,
 )
 FLIPPED_TRIPLES = [
     EulerAngles(FLIPPED[0], FLIPPED[1], FLIPPED[2]),
     EulerAngles(FLIPPED[1], FLIPPED[2], FLIPPED[3]),
     EulerAngles(FLIPPED[3], FLIPPED[0], FLIPPED[1]),
     EulerAngles(FLIPPED[2], FLIPPED[3], FLIPPED[0]),
+    EulerAngles(FLIPPED[4], FLIPPED[0], FLIPPED[5]),
+    EulerAngles(FLIPPED[1], FLIPPED[5], FLIPPED[4]),
+    EulerAngles(FLIPPED[5], FLIPPED[4], FLIPPED[2]),
 ]
 
 
@@ -237,21 +255,11 @@ FLIPPED_TRIPLES = [
 )
 def test_sigma_formula_equals_product_beyond_gate(triple):
     """Exact cross-path equality above the acceptance gate's height 5
-    (3,0,-3 is dim 64, height 6) and on a fractional weight."""
+    (3,0,-3 is dim 64, height 6) and on a fractional weight, with every
+    angle slot also taken by a pole."""
     basis = basis_of(*triple)
     for angles in FLIPPED_TRIPLES:
         assert sigma_formula(angles, basis) == sigma_product(angles, basis)
-
-
-def test_sigma_formula_float_matches_product():
-    basis = basis_of(2, 1, -3)
-    for chi, theta, phi in ((0.3, 1.1, -0.4), (-2.5, 2.9, 1.7), (3.0, -0.2, 0.0)):
-        angles = EulerAngles(Radians(chi), Radians(theta), Radians(phi))
-        formula = sigma_formula(angles, basis)
-        assert not formula.exact
-        product = sigma_product(angles, basis)
-        # orthonormal scale: both matrices are orthogonal with O(1) entries
-        assert np.max(np.abs(formula.zeta_numpy() - product.zeta_numpy())) < 1e-9
 
 
 def test_sigma_orthogonality_exact(adjoint):
@@ -276,28 +284,65 @@ def test_sigma_float_path_consistent_with_exact(adjoint):
     assert np.max(np.abs(exact.zeta_numpy() - approx.zeta_numpy())) < 1e-12
 
 
-def test_sigma_product_handles_cos_zero_via_oracle(adjoint):
-    angles = EulerAngles(exact_angle(1, 0), A35, A0)
+def test_sigma_product_exact_at_cos_zero(adjoint):
+    angles = EulerAngles(POLE, A35, A0)
     m = sigma_product(angles, adjoint)
-    assert not m.exact
+    assert m.exact
+    assert orthogonality_defect(m).is_zero()
     s3 = np.array(rotation_matrix(angles), dtype=float)
     assert np.max(np.abs(m.zeta_numpy() - rho_oracle(s3, adjoint).zeta_numpy())) < 1e-10
 
 
 def test_sigma_formula_tan_pole(adjoint):
-    with pytest.raises(TanPole):
-        sigma_formula(EulerAngles(exact_angle(1, 0), A35, A35), adjoint)
+    angles = EulerAngles(POLE, A35, A35)
+    m = sigma_formula(angles, adjoint)
+    assert m.exact
+    assert m == sigma_product(angles, adjoint)
 
 
-def test_sigma_at_t_angles_reproduces_tau(adjoint):
+def test_sigma_at_t_angles_reproduces_tau(adjoint, defining):
     """The angle triple (pi/2, pi/2, -pi/2) realizes the axis-exchange
-    rotation itself; the product path routes the poles through the float
-    oracle and must land on tau."""
-    angles = EulerAngles(exact_angle(1, 0), exact_angle(1, 0), exact_angle(-1, 0))
-    assert np.max(np.abs(np.array(rotation_matrix(angles), dtype=float) - T_MATRIX)) < 1e-15
-    m = sigma_product(angles, adjoint)
-    assert not m.exact
-    assert np.max(np.abs(m.zeta_numpy() - tau(adjoint).zeta_numpy())) < 1e-10
+    rotation itself; the product path lands on tau exactly."""
+    angles = EulerAngles(POLE, POLE, NEG_POLE)
+    assert rotation_matrix(angles) == T_MATRIX.tolist()
+    for basis in (adjoint, defining, basis_of(2, 1, -3)):
+        assert sigma_product(angles, basis) == tau(basis)
+
+
+def test_closed_forms_reject_float_angles(adjoint, defining):
+    r = Radians(0.3)
+    with pytest.raises(ValueError):
+        sigma_formula(EulerAngles(A35, r, A35), adjoint)
+    with pytest.raises(ValueError):
+        sigma_symmetric(EulerAngles(r, A35, A35), defining)
+    with pytest.raises(ValueError):
+        hybrid_sigma(r, adjoint)
+    with pytest.raises(ValueError):
+        hybrid_polynomial(0, 0, rational(2), rational(1), 4, rational(-5),
+                          rational(-4), rational(0), r)
+
+
+def test_rotations_runs_without_the_oracle():
+    """rotations needs no oracle, cos = 0 included: a fresh interpreter that
+    loads it (bypassing the package __init__, which exports the oracle) and
+    computes an exact product at the poles never imports gtrotor.oracle."""
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('gtrotor'); pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['gtrotor'] = pkg\n"
+        "from gtrotor.gt_basis import HighestWeight, enumerate_patterns\n"
+        "from gtrotor.numerics import exact_angle\n"
+        "from gtrotor.rotations import EulerAngles, sigma_product\n"
+        "pole = exact_angle(1, 0)\n"
+        "basis = enumerate_patterns(HighestWeight.of(1, 0, -1))\n"
+        "assert sigma_product(EulerAngles(pole, pole, pole), basis).exact\n"
+        "assert 'gtrotor.oracle' not in sys.modules, 'oracle was imported'\n"
+    )
+    pkg_dir = str(Path(gtrotor.__file__).parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, pkg_dir], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- symmetric and hybrid specializations --------------------------------------
@@ -309,7 +354,12 @@ def test_sigma_symmetric_matches_product():
         (rational(4, 3), rational(-2, 3), rational(-2, 3)),
     ):
         basis = basis_of(*triple)
-        for angles in (EulerAngles(A35, A513, A35), EulerAngles(A0, A35, A513)):
+        for angles in (
+            EulerAngles(A35, A513, A35),
+            EulerAngles(A0, A35, A513),
+            EulerAngles(POLE, A35, NEG_POLE),
+            EulerAngles(A513, POLE, POLE),
+        ):
             assert sigma_symmetric(angles, basis) == sigma_product(angles, basis)
 
 
@@ -331,7 +381,7 @@ def test_sigma_symmetric_rejects_general_weight(adjoint):
 
 def test_hybrid_equals_tau_times_rho(adjoint, defining):
     for basis in (adjoint, defining):
-        for eta in (A35, A513):
+        for eta in (A35, A513, POLE, NEG_POLE):
             assert hybrid_sigma(eta, basis) == tau(basis) @ rho_z(eta, basis)
 
 

@@ -121,7 +121,7 @@ def test_krawtchouk_trig_equals_monomial_times_value():
     params = KrawtchoukParams(s * s, 5)
     for n in range(6):
         for x in range(6):
-            joint = krawtchouk_trig(n, x, 5, s, c, True)
+            joint = krawtchouk_trig(n, x, 5, s, c)
             expected = (s / c) ** (n + x) * c**5 * krawtchouk(n, rational(x), params)
             assert joint == expected
 
@@ -131,7 +131,7 @@ def test_krawtchouk_trig_zero_angle_is_delta():
 
     for n in range(4):
         for x in range(4):
-            joint = krawtchouk_trig(n, x, 3, rational(0), rational(1), True)
+            joint = krawtchouk_trig(n, x, 3, rational(0), rational(1))
             if n != x:
                 assert joint == 0
             else:
