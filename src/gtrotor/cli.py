@@ -25,7 +25,7 @@ from .numerics import (
     parse_rational,
 )
 from .oracle import SignCalibrationFailed, rho_oracle
-from .racah_algebra import hilbert_series_coeffs
+from .racah_algebra import hilbert_series_two_ways
 from .rep import ELEMENT_NAMES, element_matrix
 from .rotations import EulerAngles, rotation_matrix, sigma_formula, sigma_product, tau
 from .specfun import KrawtchoukParams, RacahParams, krawtchouk, racah_tilde
@@ -202,18 +202,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    closed = hilbert_series_coeffs(args.max_degree, "ClosedForm")
-    combi = hilbert_series_coeffs(args.max_degree, "Combinatorial")
-    match = closed == combi
-    _emit(
-        {
-            "max_degree": args.max_degree,
-            "closed_form": closed,
-            "combinatorial": combi,
-            "status": "PASS" if match else "FAIL",
-        }
-    )
-    return 0 if match else 1
+    result = hilbert_series_two_ways(args.max_degree)
+    _emit(result)
+    return 0 if result["status"] == "PASS" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

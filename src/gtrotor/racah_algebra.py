@@ -323,6 +323,20 @@ def hilbert_series_coeffs(max_degree: int, method: str = "ClosedForm"):
     raise ValueError(f"method must be ClosedForm or Combinatorial, got {method!r}")
 
 
+def hilbert_series_two_ways(max_degree: int) -> dict:
+    """Both expansions of the Hilbert-Poincare series through max_degree and
+    whether they agree: the payload of `gtrotor hilbert`, also checked by
+    the hilbert verify suite."""
+    closed = hilbert_series_coeffs(max_degree, "ClosedForm")
+    combi = hilbert_series_coeffs(max_degree, "Combinatorial")
+    return {
+        "max_degree": max_degree,
+        "closed_form": closed,
+        "combinatorial": combi,
+        "status": "PASS" if closed == combi else "FAIL",
+    }
+
+
 def pbw_basis_spanning_check(max_degree: int) -> Report:
     """Count the proposed basis monomials H1^a H2^b C2^c C3^d J^i Jbar^j K^k
     (k in {0,1}) by filtered degree and compare with the series."""

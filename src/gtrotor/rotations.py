@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import lcm
 
 from .gt_basis import GTPattern, IrrepBasis, shift
-from .linalg import PatternMatrix, orthogonality_defect
+from .linalg import PatternMatrix, exact_product, orthogonality_defect
 from .numerics import (
     Angle,
     as_int,
@@ -34,6 +34,7 @@ from .specfun import (
     RacahParams,
     krawtchouk,
     krawtchouk_trig,
+    krawtchouk_trig_terms,
     racah_pattern_params,
     racah_tilde,
 )
@@ -79,31 +80,73 @@ class EulerAngles:
 # rho: z-rotations
 
 
-def _rho_entry(n: int, x: int, N: int, s, c, exact: bool):
-    pref = neg_one_pow(x) * factorial(N) / (factorial(n) * factorial(N - x))
-    joint = krawtchouk_trig(n, x, N, s, c)
-    return pref * joint if exact else float(pref) * joint
+@lru_cache(maxsize=None)
+def _rho_block(N: int) -> tuple:
+    """Angle-free data of a rho_z block of width N.
+
+    Entry (x, n) is (-1)^x N!/(n! (N-x)!) krawtchouk_trig(n, x, N, s, c)
+    = scale * c^e * sum of num * s^power over the terms: the joint
+    Krawtchouk coefficients as integer numerators over one denominator,
+    which the rational scale absorbs with the factorial quotient and both
+    signs.  One (x, n, scale, e, ((power, num), ...)) per entry."""
+    out = []
+    for x in range(N + 1):
+        for n in range(N + 1):
+            sign, e, terms = krawtchouk_trig_terms(n, x, N)
+            den = lcm(*(coef.denominator for _, coef in terms))
+            scale = (
+                sign * neg_one_pow(x) * factorial(N)
+                / (factorial(n) * factorial(N - x) * den)
+            )
+            nums = tuple(
+                (sp, coef.numerator * (den // coef.denominator)) for sp, coef in terms
+            )
+            out.append((x, n, scale, e, nums))
+    return tuple(out)
+
+
+def _rho_block_values(N: int, a, b, q, exact: bool) -> dict:
+    """{(x, n): value} over the nonzero entries of a rho_z block of width N
+    at sin = a/q, cos = b/q, with one table of powers per angle.  Exact
+    values sum on integers: each term's powers fill up to q^N, so every
+    entry is one rational over q^N."""
+    apow, bpow, qpow = [1], [1], [1]
+    for _ in range(N):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+        qpow.append(qpow[-1] * q)
+    out = {}
+    for x, n, scale, e, nums in _rho_block(N):
+        v = sum(num * apow[sp] * qpow[N - e - sp] for sp, num in nums) * bpow[e]
+        if v:
+            out[(x, n)] = (
+                rational(scale.numerator * v, scale.denominator * qpow[N])
+                if exact else float(scale) * v
+            )
+    return out
 
 
 def rho_z(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
     """Change of basis for a z-rotation; exact for ExactOnCircle angles,
-    cos = 0 included."""
+    cos = 0 included.  Blocks of one width share their values."""
     s, c, exact = sin_cos(angle)
+    if exact:
+        q = lcm(s.denominator, c.denominator)
+        a, b = s.numerator * (q // s.denominator), c.numerator * (q // c.denominator)
+    else:
+        a, b, q = s, c, 1
 
     def build():
-        entries = {}
         blocks = {}
         for i, p in enumerate(basis):
-            blocks.setdefault((p.l21, p.l22), []).append(i)
-        for (l21, l22), idxs in blocks.items():
+            blocks.setdefault((p.l21, p.l22), {})[as_int(p.l11 - p.l22)] = i
+        values, entries = {}, {}
+        for (l21, l22), pos in blocks.items():
             N = as_int(l21 - l22)
-            for row in idxs:
-                x = as_int(basis[row].l11 - l22)
-                for col in idxs:
-                    n = as_int(basis[col].l11 - l22)
-                    v = _rho_entry(n, x, N, s, c, exact)
-                    if v != 0:
-                        entries[(row, col)] = v
+            if N not in values:
+                values[N] = _rho_block_values(N, a, b, q, exact)
+            for (x, n), v in values[N].items():
+                entries[(pos[x], pos[n])] = v
         return PatternMatrix(basis, entries, exact)
 
     if exact:
@@ -217,16 +260,18 @@ def tau_inverse(basis: IrrepBasis) -> PatternMatrix:
 def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     """Five-factor product rho_phi tau^-1 rho_theta tau rho_chi.
 
-    Exact angles multiply exactly; any float factor routes the whole product
-    through the orthonormal basis, where every factor is an orthogonal matrix
-    and the factorial-sized entries of the raw basis cannot amplify roundoff.
+    Exact angles multiply exactly, as one integer chain (exact_product).
+    Any float factor routes the whole product through the orthonormal basis,
+    where every factor is an orthogonal matrix and the factorial-sized
+    entries of the raw basis cannot amplify roundoff.
     """
     rho_phi = rho_z(angles.phi, basis)
     rho_theta = rho_z(angles.theta, basis)
     rho_chi = rho_z(angles.chi, basis)
     if angles.all_exact():
-        left = rho_phi @ tau_inverse(basis)
-        return left @ rho_theta @ tau(basis) @ rho_chi
+        return exact_product(
+            rho_phi, tau_inverse(basis), rho_theta, tau(basis), rho_chi
+        )
     t = tau(basis).zeta_numpy()
     out = rho_phi.zeta_numpy() @ t.T @ rho_theta.zeta_numpy() @ t
     return PatternMatrix.from_zeta_numpy(basis, out @ rho_chi.zeta_numpy())

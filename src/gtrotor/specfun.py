@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .gt_basis import GTPattern
 from .numerics import Exact, as_int, is_exact, neg_one_pow, rational
@@ -101,14 +102,22 @@ def krawtchouk(n, x, params: KrawtchoukParams):
 
 
 @lru_cache(maxsize=None)
-def _kraw_trig_coeffs(n: int, x: int, N: int):
+def krawtchouk_trig_terms(n: int, x: int, N: int):
+    """(sign, e, ((sin power, coefficient), ...)) for in-range n, x:
+    krawtchouk_trig(n, x, N, s, c) = sign * c^e * sum of coefficient * s^power.
+    When n + x > N the reflection K(n, x) = (-1)^(n+x-N) K(N-n, N-x) is
+    applied, so the cosine power e is never negative."""
+    sign = 1
+    if n + x > N:
+        sign = neg_one_pow(n + x - N)
+        n, x = N - n, N - x
     coeffs = []
     term = rational(1)
     for k in range(min(n, x) + 1):
         if k > 0:
             term = term * (k - 1 - n) * (k - 1 - x) / rational((k - 1 - N) * k)
         coeffs.append((n + x - 2 * k, term))
-    return tuple(coeffs)
+    return sign, N - n - x, tuple(coeffs)
 
 
 def krawtchouk_trig(n, x, N, s, c):
@@ -116,25 +125,18 @@ def krawtchouk_trig(n, x, N, s, c):
     and cos, a polynomial on the whole circle; exact when s is exact.
 
     The joint expansion stays exact at sin = 0, where the bare Krawtchouk
-    value diverges termwise against the vanishing tangent power.  When
-    n + x > N the reflection K(n, x) = (-1)^(n+x-N) K(N-n, N-x) of the joint
-    value is applied first, so the cosine power is never negative: the value
-    stays finite and exact at cos = 0, float sums do not cancel as cos -> 0,
-    and fewer terms are summed.  Out-of-range degree or variable gives zero,
-    as for the bare polynomial."""
+    value diverges termwise against the vanishing tangent power.  The
+    reflection of krawtchouk_trig_terms keeps the cosine power nonnegative:
+    the value stays finite and exact at cos = 0, float sums do not cancel as
+    cos -> 0, and fewer terms are summed.  Out-of-range degree or variable
+    gives zero, as for the bare polynomial."""
     n, x, N = as_int(n), as_int(x), as_int(N)
     exact = is_exact(s)
     if n < 0 or n > N or x < 0 or x > N:
         return rational(0) if exact else 0.0
-    sign = 1
-    if n + x > N:
-        sign = neg_one_pow(n + x - N)
-        n, x = N - n, N - x
-    total = sum(
-        (coef if exact else float(coef)) * s**sp
-        for sp, coef in _kraw_trig_coeffs(n, x, N)
-    )
-    return sign * total * c ** (N - n - x)
+    sign, e, terms = krawtchouk_trig_terms(n, x, N)
+    total = sum((coef if exact else float(coef)) * s**sp for sp, coef in terms)
+    return sign * total * c**e
 
 
 @dataclass(frozen=True)
@@ -154,14 +156,35 @@ class RacahParams:
 
 @lru_cache(maxsize=None)
 def _racah_sum_exact(n: int, x, a, b, c, d):
-    return _racah_sum(n, x, a, b, c, d)
+    """The series of _racah_sum on exact input, summed on integers.
+
+    Scaled by L, the lcm of the parameters' denominators, every factor of
+    the term ratio is an integer (the powers of L cancel), so term k is
+    T_k / S_k with integers; the partial sum is carried as one integer over
+    S_k and divided once at the end."""
+    L = lcm(*(v.denominator for v in (x, a, b, c, d)))
+    X, A, B, C, D = (v.numerator * (L // v.denominator) for v in (x, a, b, c, d))
+    term = total = den = 1
+    for k in range(n):
+        j = (k + 1) * L
+        t = (k - n) * L * ((n + k + 1) * L + A + B) * (k * L - X) * (j + X + C + D)
+        if t == 0:
+            break
+        u = (j + A) * (j + B + D) * (j + C) * j
+        if u == 0:
+            raise DenominatorPoleBeforeTermination(
+                f"Racah denominator vanished at term {k + 1}"
+            )
+        term *= t
+        total = total * u + term
+        den *= u
+    return rational(total, den)
 
 
 def _racah_sum(n, x, a, b, c, d):
-    """4F3(-n, n+a+b+1, -x, x+c+d+1; a+1, b+d+1, c+1; 1), terminating in -n."""
-    exact = all(map(is_exact, (x, a, b, c, d)))
-    term = rational(1) if exact else 1.0
-    total = term
+    """4F3(-n, n+a+b+1, -x, x+c+d+1; a+1, b+d+1, c+1; 1), terminating in -n,
+    on float input; exact input is summed by _racah_sum_exact."""
+    term = total = 1.0
     u, v = n + a + b + 1, x + c + d + 1
     for k in range(as_int(n)):
         num = (k - n) * (u + k) * (k - x) * (v + k)

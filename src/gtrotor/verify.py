@@ -321,10 +321,11 @@ def suite_racah_algebra(max_height: int = 6, threads: int = 1) -> Report:
 
 def suite_hilbert(max_degree: int = 20, threads: int = 1) -> Report:
     report = Report("hilbert")
-    closed = racah_algebra.hilbert_series_coeffs(max_degree, "ClosedForm")
-    combi = racah_algebra.hilbert_series_coeffs(max_degree, "Combinatorial")
+    series = racah_algebra.hilbert_series_two_ways(max_degree)
+    closed, combi = series["closed_form"], series["combinatorial"]
     report.add(
-        f"closed_vs_combinatorial[deg<={max_degree}]", None, closed == combi,
+        f"closed_vs_combinatorial[deg<={max_degree}]", None,
+        series["status"] == "PASS",
         max((abs(a - b) for a, b in zip(closed, combi)), default=0),
     )
     report.add("first_coefficients", None, closed[:4] == [1, 2, 6, 12])

@@ -6,8 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtrotor.gt_basis import GTPattern, HighestWeight, enumerate_patterns, shift
-from gtrotor.numerics import Radians, exact_angle, rational
+from gtrotor.gt_basis import (
+    GTPattern,
+    HighestWeight,
+    enumerate_patterns,
+    shift,
+    weights_up_to_height,
+)
+from gtrotor.numerics import Radians, exact_angle, factorial, rational
 import gtrotor
 from gtrotor.oracle import (
     T_MATRIX,
@@ -36,6 +42,7 @@ from gtrotor.rotations import (
     tau_raw,
     tau_sign,
 )
+from gtrotor.specfun import krawtchouk_trig
 
 A0 = exact_angle(0, 1)
 A35 = exact_angle(rational(3, 5), rational(4, 5))
@@ -81,6 +88,29 @@ def test_rho_tan_pole(adjoint, defining):
             assert orthogonality_defect(m).is_zero()
             oracle = rho_z_oracle(angle.radians(), basis)
             assert np.max(np.abs(m.zeta_numpy() - oracle.zeta_numpy())) < 1e-12
+
+
+def test_rho_entries_match_the_direct_sum():
+    """rho_z on per-angle power tables equals the entrywise closed form
+    (-1)^x N!/(n! (N-x)!) krawtchouk_trig(n, x, N, s, c), exactly."""
+    fractional = basis_of(rational(4, 3), rational(1, 3), rational(-5, 3))
+    for basis in (basis_of(1, 0, -1), basis_of(3, 1, -4), fractional):
+        for angle in FLIPPED:
+            s, c = angle.sin, angle.cos
+            expected = {}
+            for i, row in enumerate(basis):
+                for j, col in enumerate(basis):
+                    if (row.l21, row.l22) != (col.l21, col.l22):
+                        continue
+                    N = int(row.l21 - row.l22)
+                    x, n = int(row.l11 - row.l22), int(col.l11 - col.l22)
+                    v = (
+                        (-1) ** x * factorial(N) / (factorial(n) * factorial(N - x))
+                        * krawtchouk_trig(n, x, N, s, c)
+                    )
+                    if v != 0:
+                        expected[(i, j)] = v
+            assert rho_z(angle, basis).entries == expected
 
 
 def test_rho_matches_oracle_on_defining(defining):
@@ -260,6 +290,20 @@ def test_sigma_formula_equals_product_beyond_gate(triple):
     basis = basis_of(*triple)
     for angles in FLIPPED_TRIPLES:
         assert sigma_formula(angles, basis) == sigma_product(angles, basis)
+
+
+def test_sigma_product_equals_pairwise_fold():
+    """The one integer chain of sigma_product equals the pairwise @ fold on
+    every weight of height <= 4 (4/3,1/3,-5/3 among them), with every angle
+    slot also taken by 1:0, 0:1 and -1:0."""
+    for w in weights_up_to_height(4):
+        basis = enumerate_patterns(w)
+        for angles in FLIPPED_TRIPLES:
+            fold = (
+                rho_z(angles.phi, basis) @ tau_inverse(basis)
+                @ rho_z(angles.theta, basis) @ tau(basis) @ rho_z(angles.chi, basis)
+            )
+            assert sigma_product(angles, basis) == fold, (str(w), angles)
 
 
 def test_sigma_orthogonality_exact(adjoint):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns, weights_up_to_height
@@ -17,6 +19,7 @@ from gtrotor.specfun import (
     racah_pattern_params,
     racah_pattern_recurrence_residuals,
     racah_tilde,
+    racah_tilde_raw,
 )
 
 P_GRID = (rational(1, 4), rational(1, 2), rational(9, 25))
@@ -151,6 +154,29 @@ def test_racah_degree_zero_and_conventions():
 def test_racah_explicit_value():
     params = RacahParams(rational(-4), rational(-4), rational(-4), rational(0))
     assert racah_tilde(1, rational(1), params) == rational(5, 9)
+
+
+def test_racah_integer_sum_matches_termwise_series():
+    """The exact Racah sum on integers equals the termwise rational 4F3,
+    on integral and fractional parameters (x >= 0, where the negative-index
+    convention does not apply), including denominator poles."""
+    rng = random.Random(4)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        x, a, b, c, d = (
+            rational(rng.randint(lo, 9), rng.choice((1, 1, 2, 3)))
+            for lo in (0, -9, -9, -9, -9)
+        )
+        try:
+            expected = hyp_terminating(
+                [-n, n + a + b + 1, -x, x + c + d + 1], [a + 1, b + d + 1, c + 1],
+                rational(1), n,
+            )
+        except DenominatorPoleBeforeTermination:
+            with pytest.raises(DenominatorPoleBeforeTermination):
+                racah_tilde_raw(n, x, a, b, c, d)
+            continue
+        assert racah_tilde_raw(n, x, a, b, c, d) == expected
 
 
 def test_krawtchouk_orthogonality_spec_cases():
