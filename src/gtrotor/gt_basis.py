@@ -9,11 +9,12 @@ nonnegative integer.  The canonical basis order is ascending lexicographic on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .numerics import Exact, as_int, factorial, format_rational, rational
+from .numerics import Exact, as_int, format_rational, rational
 
 
 class InvalidWeight(ValueError):
@@ -125,34 +126,45 @@ def weyl_dimension(weight: HighestWeight) -> int:
     return (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
-def norm_squared(p: GTPattern) -> Exact:
-    """Squared norm of the unnormalized basis vector attached to p."""
-    w = p.weight
+def lattice_coords(p: GTPattern) -> tuple:
+    """(l21, l22, l11, l31, l32) minus l33, as ints.  Every difference of
+    pattern entries is an integer; the weight sums to zero, so
+    3 l33 = -(l31 - l33) - (l32 - l33) is one too.  The factorial arguments
+    of the norms and of tau's t-factors, and its Racah parameters, are
+    integer combinations of these five."""
+    l33 = p.weight.l33
+    return tuple(
+        as_int(v - l33) for v in (p.l21, p.l22, p.l11, p.weight.l31, p.weight.l32)
+    )
+
+
+def _norm_squared(c) -> Exact:
+    """norm_squared on the lattice coordinates c of a pattern."""
+    x21, x22, x11, a, b = c
+    f = math.factorial
     num = (
-        factorial(p.l21 - p.l11)
-        * factorial(w.l31 - p.l21)
-        * factorial(w.l31 - p.l22 + 1)
-        * factorial(w.l31 - w.l32)
-        * factorial(w.l32 - w.l33)
-        * factorial(p.l22 - w.l33)
-        * factorial(w.l31 - w.l33 + 1)
-        * factorial(p.l21 - w.l32)
-        * factorial(p.l21 - w.l33 + 1)
+        f(x21 - x11) * f(a - x21) * f(a - x22 + 1) * f(a - b) * f(b) * f(x22)
+        * f(a + 1) * f(x21 - b) * f(x21 + 1)
     )
-    den = (
-        (p.l21 - p.l22 + 1)
-        * factorial(p.l11 - p.l22)
-        * factorial(w.l32 - p.l22)
-    )
-    return num / den
+    return rational(num, (x21 - x22 + 1) * f(x11 - x22) * f(b - x22))
+
+
+def norm_squared(p: GTPattern) -> Exact:
+    """Squared norm of the unnormalized basis vector attached to p:
+    (l21-l11)! (l31-l21)! (l31-l22+1)! (l31-l32)! (l32-l33)! (l22-l33)!
+    (l31-l33+1)! (l21-l32)! (l21-l33+1)! over
+    (l21-l22+1) (l11-l22)! (l32-l22)!."""
+    return _norm_squared(lattice_coords(p))
 
 
 class IrrepBasis:
-    """All GT patterns of a weight in canonical order, with an index map."""
+    """All GT patterns of a weight in canonical order, with an index map and
+    the lattice_coords of every pattern (self.lattice, same order)."""
 
-    def __init__(self, weight: HighestWeight, patterns):
+    def __init__(self, weight: HighestWeight, patterns, lattice):
         self.weight = weight
         self.patterns = tuple(patterns)
+        self.lattice = tuple(lattice)
         self.index = {p: i for i, p in enumerate(self.patterns)}
         self.dim = len(self.patterns)
         self._norms_sq = None
@@ -160,7 +172,7 @@ class IrrepBasis:
 
     def norms_sq(self):
         if self._norms_sq is None:
-            self._norms_sq = tuple(norm_squared(p) for p in self.patterns)
+            self._norms_sq = tuple(_norm_squared(c) for c in self.lattice)
         return self._norms_sq
 
     def memo(self, key, build):
@@ -186,17 +198,20 @@ class IrrepBasis:
 
 
 def enumerate_patterns(weight: HighestWeight) -> IrrepBasis:
-    """All valid patterns, ascending lex on (l21, l22, l11)."""
-    pats = []
-    a = as_int(weight.l31 - weight.l32)
-    b = as_int(weight.l32 - weight.l33)
-    for i in range(a + 1):
-        l21 = weight.l32 + i
-        for j in range(b + 1):
-            l22 = weight.l33 + j
-            for k in range(as_int(l21 - l22) + 1):
-                pats.append(GTPattern(weight, l21, l22, l22 + k))
-    basis = IrrepBasis(weight, pats)
+    """All valid patterns, ascending lex on (l21, l22, l11), walked on the
+    lattice coordinates."""
+    pats, lattice = [], []
+    l33 = weight.l33
+    a = as_int(weight.l31 - l33)
+    b = as_int(weight.l32 - l33)
+    for x21 in range(b, a + 1):
+        l21 = l33 + x21
+        for x22 in range(b + 1):
+            l22 = l33 + x22
+            for x11 in range(x22, x21 + 1):
+                pats.append(GTPattern(weight, l21, l22, l33 + x11))
+                lattice.append((x21, x22, x11, a, b))
+    basis = IrrepBasis(weight, pats, lattice)
     if basis.dim != weyl_dimension(weight):
         raise AssertionError(f"enumeration disagrees with dimension for {weight}")
     return basis

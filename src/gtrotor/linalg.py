@@ -8,6 +8,7 @@ either fully exact or fully float; the two kinds never mix entries.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -19,11 +20,22 @@ class NonCancellingNorms(ArithmeticError):
     """A normalized-basis entry kept an unresolved square root."""
 
 
+def _sqrt_float(v) -> float:
+    """sqrt(v) for a positive exact v as a float, also where v itself
+    overflows a float.  v / 4^k, with 4^k near v, is converted with one
+    correctly rounded integer division; scaling by powers of two is exact,
+    so in float range this equals sqrt(float(v)) bit for bit."""
+    num, den = int(v.numerator), int(v.denominator)
+    k = (num.bit_length() - den.bit_length()) // 2
+    r = num / (den << 2 * k) if k >= 0 else (num << -2 * k) / den
+    return math.ldexp(math.sqrt(r), k)
+
+
 def norm_vector(basis: IrrepBasis) -> np.ndarray:
     """Float norms N_i of the basis vectors, built once per basis."""
     return basis.memo(
         ("norm_vector",),
-        lambda: np.sqrt(np.array([float(v) for v in basis.norms_sq()])),
+        lambda: np.array([_sqrt_float(v) for v in basis.norms_sq()]),
     )
 
 
@@ -44,10 +56,11 @@ class PatternMatrix:
             raise TypeError("float entry in exact matrix")
 
     @classmethod
-    def _nonzero_exact(cls, basis, entries):
-        """Exact matrix from entries already known to be nonzero rationals."""
+    def _nonzero(cls, basis, entries, exact=True):
+        """Matrix from entries already known to be nonzero and of the kind
+        given by exact (rationals or floats)."""
         m = cls.__new__(cls)
-        m.basis, m.exact, m.entries = basis, True, entries
+        m.basis, m.exact, m.entries = basis, exact, entries
         return m
 
     @classmethod
@@ -66,13 +79,11 @@ class PatternMatrix:
     @classmethod
     def from_numpy(cls, basis, array):
         arr = np.asarray(array, dtype=float)
-        entries = {
-            (i, j): float(arr[i, j])
-            for i in range(basis.dim)
-            for j in range(basis.dim)
-            if arr[i, j] != 0.0
-        }
-        return cls(basis, entries, exact=False)
+        rows, cols = np.nonzero(arr)
+        entries = dict(
+            zip(zip(rows.tolist(), cols.tolist()), arr[rows, cols].tolist())
+        )
+        return cls._nonzero(basis, entries, exact=False)
 
     def get(self, i: int, j: int):
         return self.entries.get((i, j), rational(0) if self.exact else 0.0)
@@ -83,8 +94,11 @@ class PatternMatrix:
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.basis.dim, self.basis.dim))
-        for (i, j), v in self.entries.items():
-            out[i, j] = float(v)
+        n = len(self.entries)
+        keys = np.fromiter(chain.from_iterable(self.entries), np.intp, 2 * n)
+        out[keys[0::2], keys[1::2]] = np.fromiter(
+            map(float, self.entries.values()), float, n
+        )
         return out
 
     def zeta_numpy(self) -> np.ndarray:
@@ -245,7 +259,7 @@ def exact_product(*factors: PatternMatrix) -> PatternMatrix:
         f_rows, d = _integer_rows(f)
         rows = _integer_matmul(f_rows, rows)
         D *= d
-    return PatternMatrix._nonzero_exact(
+    return PatternMatrix._nonzero(
         basis,
         {(i, k): rational(v, D) for i, row in rows.items() for k, v in row.items()},
     )

@@ -50,8 +50,10 @@ def parse_rational(text: str):
 
 
 def format_rational(value) -> str:
-    """Render an exact value as 'p' or 'p/q' (used by all serializers)."""
-    q = rational(value)
+    """Render an exact value as 'p' or 'p/q' (used by all serializers).
+    Exact rationals are already in lowest terms; only other input (int) is
+    coerced."""
+    q = value if isinstance(value, Exact) else rational(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

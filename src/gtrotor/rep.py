@@ -23,7 +23,6 @@ from .gt_basis import (
     D22_UP,
     GTPattern,
     IrrepBasis,
-    shift,
 )
 from .linalg import NormalizedMatrix, PatternMatrix
 from .numerics import rational
@@ -34,56 +33,64 @@ GENERATOR_NAMES = tuple(f"e{i}{j}" for i in range(1, 4) for j in range(1, 4))
 ELEMENT_NAMES = GENERATOR_NAMES + ("C2", "C3", "J", "Y", "H", "H1", "H2", "h", "y")
 
 
-def _column_action(p: GTPattern):
-    """eq. of motion of each generator on the basis vector of pattern p:
-    list of (shift or None-for-diagonal, coefficient)."""
-    w = p.weight
-    l21, l22, l11 = p.l21, p.l22, p.l11
-    den = l21 - l22 + 1
-    return {
-        "e11": [(None, l11)],
-        "e22": [(None, l21 + l22 - l11)],
-        "e33": [(None, -(l21 + l22))],
-        "e12": [(D11_UP, (l21 - l11) * (l11 - l22 + 1))],
-        "e21": [(D11_DOWN, rational(1))],
-        "e23": [
-            (D21_UP, (w.l31 - l21) / den),
-            (D22_UP, (w.l31 - l22 + 1) / den),
-        ],
-        "e32": [
-            (D21_DOWN, (l21 - w.l32) * (l21 - w.l33 + 1) * (l21 - l11) / den),
-            (D22_DOWN, (l11 - l22 + 1) * (w.l32 - l22 + 1) * (l22 - w.l33) / den),
-        ],
-        "e13": [
-            (D21_D11_UP, (l11 - l22 + 1) * (w.l31 - l21) / den),
-            (D22_D11_UP, -(l21 - l11) * (w.l31 - l22 + 1) / den),
-        ],
-        "e31": [
-            (D21_D11_DOWN, (l21 - w.l32) * (l21 - w.l33 + 1) / den),
-            (D22_D11_DOWN, -(w.l32 - l22 + 1) * (l22 - w.l33) / den),
-        ],
-    }
+# Action of each generator on the basis vector of one pattern, written on its
+# lattice coordinates (x21, x22, x11, a, b) = (l21, l22, l11, l31, l32) - l33:
+# ((shift, or None for the diagonal), numerator, denominator) per target.
+# With den = l21 - l22 + 1 and 3 l33 = -(a + b), e.g. e23 sends the vector of
+# p to (l31 - l21)/den times that of p + D21_UP plus (l31 - l22 + 1)/den
+# times that of p + D22_UP.
+_ACTIONS = {
+    "e11": lambda x21, x22, x11, a, b: ((None, 3 * x11 - a - b, 3),),
+    "e22": lambda x21, x22, x11, a, b: ((None, 3 * (x21 + x22 - x11) - a - b, 3),),
+    "e33": lambda x21, x22, x11, a, b: ((None, 2 * (a + b) - 3 * (x21 + x22), 3),),
+    "e12": lambda x21, x22, x11, a, b: ((D11_UP, (x21 - x11) * (x11 - x22 + 1), 1),),
+    "e21": lambda x21, x22, x11, a, b: ((D11_DOWN, 1, 1),),
+    "e23": lambda x21, x22, x11, a, b: (
+        (D21_UP, a - x21, x21 - x22 + 1),
+        (D22_UP, a - x22 + 1, x21 - x22 + 1),
+    ),
+    "e32": lambda x21, x22, x11, a, b: (
+        (D21_DOWN, (x21 - b) * (x21 + 1) * (x21 - x11), x21 - x22 + 1),
+        (D22_DOWN, (x11 - x22 + 1) * (b - x22 + 1) * x22, x21 - x22 + 1),
+    ),
+    "e13": lambda x21, x22, x11, a, b: (
+        (D21_D11_UP, (x11 - x22 + 1) * (a - x21), x21 - x22 + 1),
+        (D22_D11_UP, -(x21 - x11) * (a - x22 + 1), x21 - x22 + 1),
+    ),
+    "e31": lambda x21, x22, x11, a, b: (
+        (D21_D11_DOWN, (x21 - b) * (x21 + 1), x21 - x22 + 1),
+        (D22_D11_DOWN, -(b - x22 + 1) * x22, x21 - x22 + 1),
+    ),
+}
 
 
 def generator_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
-    """Exact matrix of a generator eij, columns indexed by source pattern."""
+    """Exact matrix of a generator eij, columns indexed by source pattern.
+    Only the requested generator's coefficients are computed; a shifted
+    pattern is found by its lattice coordinates, and one that leaves the
+    basis annihilates its term."""
     if name not in GENERATOR_NAMES:
         raise ValueError(f"not a generator: {name!r}")
 
     def build():
+        action = _ACTIONS[name]
+        lattice = basis.lattice
+        index = {c[:3]: i for i, c in enumerate(lattice)}
         entries = {}
-        for col, p in enumerate(basis):
-            for move, coeff in _column_action(p)[name]:
-                if coeff == 0:
+        for col, c in enumerate(lattice):
+            x21, x22, x11 = c[:3]
+            for move, num, den in action(*c):
+                if num == 0:
                     continue
                 if move is None:
-                    entries[(col, col)] = coeff
-                    continue
-                q = shift(p, move)
-                if q is not None:
-                    key = (basis.index_of(q), col)
-                    entries[key] = entries.get(key, rational(0)) + coeff
-        return PatternMatrix(basis, entries)
+                    row = col
+                else:
+                    d11, d21, d22 = move
+                    row = index.get((x21 + d21, x22 + d22, x11 + d11))
+                    if row is None:
+                        continue
+                entries[(row, col)] = rational(num, den)
+        return PatternMatrix._nonzero(basis, entries)
 
     return basis.memo(("gen", name), build)
 

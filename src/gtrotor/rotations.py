@@ -13,6 +13,7 @@ five-factor product, then the closed double sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -20,6 +21,7 @@ from math import lcm
 from .gt_basis import GTPattern, IrrepBasis, shift
 from .linalg import PatternMatrix, exact_product, orthogonality_defect
 from .numerics import (
+    ZERO,
     Angle,
     as_int,
     factorial,
@@ -35,7 +37,7 @@ from .specfun import (
     krawtchouk,
     krawtchouk_trig,
     krawtchouk_trig_terms,
-    racah_pattern_params,
+    racah_sum_exact,
     racah_tilde,
 )
 
@@ -138,11 +140,11 @@ def rho_z(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
 
     def build():
         blocks = {}
-        for i, p in enumerate(basis):
-            blocks.setdefault((p.l21, p.l22), {})[as_int(p.l11 - p.l22)] = i
+        for i, (x21, x22, x11, _, _) in enumerate(basis.lattice):
+            blocks.setdefault((x21, x22), {})[x11 - x22] = i
         values, entries = {}, {}
-        for (l21, l22), pos in blocks.items():
-            N = as_int(l21 - l22)
+        for (x21, x22), pos in blocks.items():
+            N = x21 - x22
             if N not in values:
                 values[N] = _rho_block_values(N, a, b, q, exact)
             for (x, n), v in values[N].items():
@@ -158,41 +160,50 @@ def rho_z(angle: Angle, basis: IrrepBasis) -> PatternMatrix:
 # per-pattern factors shared by tau, sigma_formula and hybrid_sigma
 
 
-def _t_factor(w, x, y, z):
-    """Normalization factor of the tau entries, a ratio of factorials in the
-    row pattern (x, y, z) = (l21', l11', l22')."""
+def _t_factor(c):
+    """Normalization factor of the tau entries at the row pattern with
+    lattice coordinates c.  In the row entries (x, y, z) = (l21', l11', l22')
+    it is (x - z + 1) (l31 - l32)! (l31 - l33 + 1)! (l31 - y)! (l32 - z)!
+    (y - z)! over (x - l32)! (x - l33 + 1)! (x - y)! (l31 - z + 1)!
+    (l31 - x)! (z - l33)!."""
+    x21, x22, x11, a, b = c
+    f = math.factorial
     num = (
-        (x - z + 1)
-        * factorial(w.l31 - w.l32)
-        * factorial(w.l31 - w.l33 + 1)
-        * factorial(w.l31 - y)
-        * factorial(w.l32 - z)
-        * factorial(y - z)
+        (x21 - x22 + 1) * f(a - b) * f(a + 1) * f(a - x11) * f(b - x22)
+        * f(x11 - x22)
     )
     den = (
-        factorial(x - w.l32)
-        * factorial(x - w.l33 + 1)
-        * factorial(x - y)
-        * factorial(w.l31 - z + 1)
-        * factorial(w.l31 - x)
-        * factorial(z - w.l33)
+        f(x21 - b) * f(x21 + 1) * f(x21 - x11) * f(a - x22 + 1) * f(a - x21)
+        * f(x22)
     )
-    return num / den
+    return rational(num, den)
 
 
 def _t_factors(basis: IrrepBasis) -> tuple:
     """The t-factor of every pattern, in basis order."""
-    w = basis.weight
     return basis.memo(
-        ("t_factors",),
-        lambda: tuple(_t_factor(w, p.l21, p.l11, p.l22) for p in basis),
+        ("t_factors",), lambda: tuple(_t_factor(c) for c in basis.lattice)
     )
 
 
-def _racah_factor(p: GTPattern, x):
-    """Shifted Racah factor of degree l31 - l21 at variable x, with the
-    parameters of pattern p; zero outside the window."""
-    return racah_tilde(as_int(p.weight.l31 - p.l21), x, racah_pattern_params(p))
+def _racah_params(c) -> tuple:
+    """(degree, alpha, beta, gamma, delta, window) of the shifted Racah
+    factor of the pattern with lattice coordinates c: degree l31 - l21 and
+    the parameters of specfun.racah_pattern_params, all of them ints."""
+    x21, x22, x11, a, b = c
+    alpha, gamma = b - a - 1, x11 - a - 1
+    beta, delta = x21 + x22 - a - b - 1, b - x21 - x22 - 1
+    window = min(-alpha - 1, -beta - delta - 1, -gamma - 1)
+    return a - x21, alpha, beta, gamma, delta, window
+
+
+def _racah_factor(params, x: int):
+    """Shifted Racah factor at the integer variable x, for a column's
+    _racah_params; zero outside the window."""
+    n, alpha, beta, gamma, delta, window = params
+    if x < 0 or x > window or n > window:
+        return ZERO
+    return racah_sum_exact(n, x, alpha, beta, gamma, delta)
 
 
 # --------------------------------------------------------------------------
@@ -202,26 +213,26 @@ def _racah_factor(p: GTPattern, x):
 def tau_raw(basis: IrrepBasis) -> PatternMatrix:
     """Closed-form tau with the sign convention as derived, before the
     global sign.  Row i couples only to the columns with the same l11 and
-    with l21 + l22 = l'11 - l'21 - l'22, looked up by that key."""
+    with l21 + l22 = l'11 - l'21 - l'22, looked up by that key.  Entry
+    (i, j) is (-1)^(l'22 - l21) t(row) R(col; l31 - l'21), on the lattice
+    coordinates, with each column's Racah parameters built once."""
 
     def build():
-        w = basis.weight
+        lattice = basis.lattice
         t = _t_factors(basis)
         cols = {}
-        for j, col in enumerate(basis):
-            cols.setdefault((col.l11, col.l21 + col.l22), []).append(j)
+        for j, c in enumerate(lattice):
+            x21, x22, x11, _, _ = c
+            cols.setdefault((x11, x21 + x22), []).append((j, x21, _racah_params(c)))
         entries = {}
-        for i, row in enumerate(basis):
-            for j in cols.get((row.l11, row.l11 - row.l21 - row.l22), ()):
-                col = basis[j]
-                v = (
-                    t[i]
-                    * neg_one_pow(row.l22 - col.l21)
-                    * _racah_factor(col, w.l31 - row.l21)
-                )
-                if v != 0:
-                    entries[(i, j)] = v
-        return PatternMatrix(basis, entries)
+        for i, (x21, x22, x11, a, b) in enumerate(lattice):
+            x = a - x21
+            for j, col21, params in cols.get((x11, x11 - x21 - x22 + a + b), ()):
+                r = _racah_factor(params, x)
+                if r:
+                    v = t[i] * r
+                    entries[(i, j)] = -v if (x22 - col21) % 2 else v
+        return PatternMatrix._nonzero(basis, entries)
 
     return basis.memo(("tau_raw",), build)
 
@@ -325,6 +336,7 @@ def _sigma_tables(basis: IrrepBasis):
         w = basis.weight
         l31, l32, l33 = w.l31, w.l32, w.l33
         t = _t_factors(basis)
+        racah = [_racah_params(c) for c in basis.lattice]
         index = basis.index
         rows, cols = [], []
         keys_by_s = {}
@@ -348,10 +360,11 @@ def _sigma_tables(basis: IrrepBasis):
                 row_coeffs, col_coeffs = {}, {}
                 lo = max(l32, n - l32, -S, n + S)
                 for ell in _int_range(lo, min(l31, n - l33)):
-                    r = _racah_factor(basis[q], l31 - ell)
+                    lam = as_int(l31 - ell)
+                    r = _racah_factor(racah[q], lam)
                     if r == 0:
                         continue
-                    key = (nu, as_int(l31 - ell))
+                    key = (nu, lam)
                     mid = index[GTPattern(w, ell, n - ell, n + S)]
                     row_coeffs[key] = row_pref / factorial(ell - n - S) * r
                     col_coeffs[key] = t[mid] * col_pref / factorial(ell + S) * r
@@ -524,13 +537,14 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
     shifted Racah factor per entry, carrying tau's global sign.  Exact
     angles only."""
     s, c = _exact_sin_cos(eta)
-    w = basis.weight
     cal = rational(tau_sign(basis))
     t = _t_factors(basis)
+    lattice = basis.lattice
 
     entries = {}
     for i, row in enumerate(basis):
         rp21, rp22, rp11 = row.l21, row.l22, row.l11
+        rx21, _, rx11, a, b = lattice[i]
         for j, col in enumerate(basis):
             l21, l22, l11 = col.l21, col.l22, col.l11
             if l21 + l22 != rp11 - rp21 - rp22:
@@ -538,7 +552,8 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
             k = krawtchouk_trig(l11 - l22, rp11 - l22, l21 - l22, s, c)
             if k == 0:
                 continue
-            r = _racah_factor(GTPattern(w, l21, l22, rp11), w.l31 - rp21)
+            cx21, cx22 = lattice[j][:2]
+            r = _racah_factor(_racah_params((cx21, cx22, rx11, a, b)), a - rx21)
             if r == 0:
                 continue
             pref = (

@@ -155,8 +155,10 @@ class RacahParams:
 
 
 @lru_cache(maxsize=None)
-def _racah_sum_exact(n: int, x, a, b, c, d):
-    """The series of _racah_sum on exact input, summed on integers.
+def racah_sum_exact(n: int, x, a, b, c, d):
+    """The series of _racah_sum on exact input, summed on integers.  Ints
+    and equal rationals hash alike, so int arguments share cache entries
+    with rational ones.
 
     Scaled by L, the lcm of the parameters' denominators, every factor of
     the term ratio is an integer (the powers of L cancel), so term k is
@@ -183,7 +185,7 @@ def _racah_sum_exact(n: int, x, a, b, c, d):
 
 def _racah_sum(n, x, a, b, c, d):
     """4F3(-n, n+a+b+1, -x, x+c+d+1; a+1, b+d+1, c+1; 1), terminating in -n,
-    on float input; exact input is summed by _racah_sum_exact."""
+    on float input; exact input is summed by racah_sum_exact."""
     term = total = 1.0
     u, v = n + a + b + 1, x + c + d + 1
     for k in range(as_int(n)):
@@ -206,7 +208,7 @@ def racah_tilde_raw(n, x, alpha, beta, gamma, delta):
         return rational(0)
     n = as_int(n)
     if all(map(is_exact, (x, alpha, beta, gamma, delta))):
-        return _racah_sum_exact(
+        return racah_sum_exact(
             n, rational(x), rational(alpha), rational(beta),
             rational(gamma), rational(delta),
         )

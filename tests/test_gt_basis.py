@@ -5,6 +5,7 @@ from gtrotor.gt_basis import (
     HighestWeight,
     InvalidWeight,
     enumerate_patterns,
+    lattice_coords,
     norm_squared,
     shift,
     weights_up_to_height,
@@ -125,6 +126,26 @@ def test_norm_squared_positive_everywhere():
             val = norm_squared(p)
             assert val == norm_squared_oracle(p)
             assert val > 0
+
+
+def test_norms_sq_equal_the_fraction_formula_to_height_6():
+    """The integer lattice norms equal the defining Fraction product on
+    every weight of height <= 6, fractional weights included."""
+    for w in weights_up_to_height(6):
+        basis = enumerate_patterns(w)
+        assert basis.norms_sq() == tuple(norm_squared_oracle(p) for p in basis)
+
+
+def test_lattice_coords_match_the_patterns():
+    for w in weights_up_to_height(4):
+        basis = enumerate_patterns(w)
+        for p, c in zip(basis, basis.lattice):
+            assert c == lattice_coords(p)
+            x21, x22, x11, a, b = c
+            l33 = w.l33
+            assert (p.l21, p.l22, p.l11) == (l33 + x21, l33 + x22, l33 + x11)
+            assert (w.l31, w.l32) == (l33 + a, l33 + b)
+            assert 3 * l33 == -(a + b)
 
 
 def test_enumeration_deterministic():

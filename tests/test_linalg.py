@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gtrotor import numerics
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns
-from gtrotor.linalg import PatternMatrix, exact_product
+from gtrotor.linalg import PatternMatrix, exact_product, norm_vector
 from gtrotor.numerics import Exact, rational
 
 
@@ -139,3 +142,49 @@ def test_exact_product_rejects_bad_input(adjoint, dim27):
         exact_product(m, PatternMatrix.identity(dim27))
     with pytest.raises(TypeError):
         exact_product(m, m.to_float())
+
+
+def _mpq_backend():
+    return pytest.importorskip("gmpy2").mpq
+
+
+@pytest.mark.parametrize("backend", [lambda: Fraction, _mpq_backend], ids=["Fraction", "mpq"])
+def test_norm_vector_past_float_range(monkeypatch, backend):
+    """At 40,-20,-20 squared norms reach 1645 bits, past the float range;
+    the norms themselves do not, and come out finite under either
+    backend's rational."""
+    monkeypatch.setattr(numerics, "_mpq", backend())
+    basis = enumerate_patterns(HighestWeight.parse("40,-20,-20"))
+    nsq = basis.norms_sq()
+    assert max(int(v.numerator).bit_length() for v in nsq) > 1024
+    d = norm_vector(basis)
+    assert d.shape == (basis.dim,) and np.isfinite(d).all()
+    for v, n in zip(nsq, d):
+        log_sq = math.log(int(v.numerator)) - math.log(int(v.denominator))
+        assert math.isclose(2 * math.log(n), log_sq, rel_tol=1e-13)
+
+
+def test_norm_vector_in_float_range_is_the_plain_square_root(dim27):
+    d = norm_vector(dim27)
+    assert d.tolist() == [math.sqrt(float(v)) for v in dim27.norms_sq()]
+
+
+def test_numpy_round_trip_keeps_entries_and_order(dim27):
+    rng = np.random.default_rng(3)
+    arr = rng.standard_normal((dim27.dim, dim27.dim))
+    arr[rng.random(arr.shape) < 0.6] = 0.0
+    arr[0, 1] = -0.0
+    m = PatternMatrix.from_numpy(dim27, arr)
+    expected = {
+        (i, j): float(arr[i, j])
+        for i in range(dim27.dim)
+        for j in range(dim27.dim)
+        if arr[i, j] != 0.0
+    }
+    assert list(m.entries.items()) == list(expected.items())
+    assert not m.exact
+    assert np.array_equal(m.to_numpy(), arr)
+    exact = PatternMatrix(dim27, {(2, 5): rational(1, 3), (7, 0): rational(-4)})
+    out = exact.to_numpy()
+    assert out[2, 5] == 1 / 3 and out[7, 0] == -4.0 and np.count_nonzero(out) == 2
+    assert not PatternMatrix.zeros(dim27).to_numpy().any()

@@ -72,6 +72,8 @@ def test_rational_field_axioms_sampled():
 def test_lowest_terms_and_formatting():
     assert format_rational(rational(6, 4)) == "3/2"
     assert format_rational(rational(-6, 3)) == "-2"
+    assert format_rational(-7) == "-7"
+    assert format_rational(rational(-10**40, 3)) == f"-{10**40}/3"
     assert rational(2, 4) == rational(1, 2)
     assert parse_rational("-7/3") == rational(-7, 3)
 

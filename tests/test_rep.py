@@ -4,6 +4,7 @@ from gtrotor.gt_basis import HighestWeight, enumerate_patterns, shift, weights_u
 from gtrotor.linalg import NonCancellingNorms, PatternMatrix
 from gtrotor.numerics import exact_angle, rational
 from gtrotor.rep import (
+    GENERATOR_NAMES,
     casimir2_value,
     casimir3_value,
     element_matrix,
@@ -19,6 +20,59 @@ from gtrotor.rep import (
 @pytest.fixture(scope="module")
 def adjoint():
     return enumerate_patterns(HighestWeight.of(1, 0, -1))
+
+
+def reference_column_action(p):
+    """Action of all nine generators on the basis vector of pattern p, on
+    Fractions: name -> [(shift or None for the diagonal, coefficient)]."""
+    w = p.weight
+    l21, l22, l11 = p.l21, p.l22, p.l11
+    den = l21 - l22 + 1
+    return {
+        "e11": [(None, l11)],
+        "e22": [(None, l21 + l22 - l11)],
+        "e33": [(None, -(l21 + l22))],
+        "e12": [((1, 0, 0), (l21 - l11) * (l11 - l22 + 1))],
+        "e21": [((-1, 0, 0), rational(1))],
+        "e23": [
+            ((0, 1, 0), (w.l31 - l21) / den),
+            ((0, 0, 1), (w.l31 - l22 + 1) / den),
+        ],
+        "e32": [
+            ((0, -1, 0), (l21 - w.l32) * (l21 - w.l33 + 1) * (l21 - l11) / den),
+            ((0, 0, -1), (l11 - l22 + 1) * (w.l32 - l22 + 1) * (l22 - w.l33) / den),
+        ],
+        "e13": [
+            ((1, 1, 0), (l11 - l22 + 1) * (w.l31 - l21) / den),
+            ((1, 0, 1), -(l21 - l11) * (w.l31 - l22 + 1) / den),
+        ],
+        "e31": [
+            ((-1, -1, 0), (l21 - w.l32) * (l21 - w.l33 + 1) / den),
+            ((-1, 0, -1), -(w.l32 - l22 + 1) * (l22 - w.l33) / den),
+        ],
+    }
+
+
+def reference_generator_entries(name, basis):
+    entries = {}
+    for col, p in enumerate(basis):
+        for move, coeff in reference_column_action(p)[name]:
+            if coeff == 0:
+                continue
+            q = p if move is None else shift(p, move)
+            if q is not None:
+                key = (basis.index_of(q), col)
+                entries[key] = entries.get(key, rational(0)) + coeff
+    return {k: v for k, v in entries.items() if v != 0}
+
+
+@pytest.mark.parametrize("text", [str(w) for w in weights_up_to_height(6)])
+def test_generators_equal_the_fraction_column_action(text):
+    basis = enumerate_patterns(HighestWeight.parse(text))
+    for name in GENERATOR_NAMES:
+        assert generator_matrix(name, basis).entries == reference_generator_entries(
+            name, basis
+        )
 
 
 def test_e21_columns_are_single_shifts(adjoint):

@@ -13,7 +13,14 @@ from gtrotor.gt_basis import (
     shift,
     weights_up_to_height,
 )
-from gtrotor.numerics import Radians, exact_angle, factorial, rational
+from gtrotor.numerics import (
+    Radians,
+    as_int,
+    exact_angle,
+    factorial,
+    neg_one_pow,
+    rational,
+)
 import gtrotor
 from gtrotor.oracle import (
     T_MATRIX,
@@ -26,6 +33,7 @@ from gtrotor.rep import element_matrix, j_eigenvalue, y_eigenvalue
 from gtrotor.rotations import (
     EulerAngles,
     NotSymmetricRep,
+    _t_factors,
     bispectral_residual,
     h_recurrence_explicit_residual,
     hybrid_polynomial,
@@ -42,7 +50,7 @@ from gtrotor.rotations import (
     tau_raw,
     tau_sign,
 )
-from gtrotor.specfun import krawtchouk_trig
+from gtrotor.specfun import krawtchouk_trig, racah_pattern_params, racah_tilde
 
 A0 = exact_angle(0, 1)
 A35 = exact_angle(rational(3, 5), rational(4, 5))
@@ -63,6 +71,72 @@ def adjoint():
 @pytest.fixture(scope="module")
 def defining():
     return basis_of(rational(2, 3), rational(-1, 3), rational(-1, 3))
+
+
+# -- references: the defining Fraction formulas of tau's set-up ---------------
+
+
+def reference_t_factor(w, x, y, z):
+    """Normalization factor of the tau entries in the row pattern
+    (x, y, z) = (l21', l11', l22'), on Fractions."""
+    num = (
+        (x - z + 1)
+        * factorial(w.l31 - w.l32)
+        * factorial(w.l31 - w.l33 + 1)
+        * factorial(w.l31 - y)
+        * factorial(w.l32 - z)
+        * factorial(y - z)
+    )
+    den = (
+        factorial(x - w.l32)
+        * factorial(x - w.l33 + 1)
+        * factorial(x - y)
+        * factorial(w.l31 - z + 1)
+        * factorial(w.l31 - x)
+        * factorial(z - w.l33)
+    )
+    return num / den
+
+
+def reference_tau_raw(basis):
+    """tau before its global sign, entry by entry over all (row, column)
+    pairs: (-1)^(l'22 - l21) t(row) times the shifted Racah value of degree
+    l31 - l21 at l31 - l'21 with the column's Racah parameters."""
+    w = basis.weight
+    entries = {}
+    for i, row in enumerate(basis):
+        t = reference_t_factor(w, row.l21, row.l11, row.l22)
+        for j, col in enumerate(basis):
+            if col.l11 != row.l11 or col.l21 + col.l22 != row.l11 - row.l21 - row.l22:
+                continue
+            r = racah_tilde(
+                as_int(w.l31 - col.l21), w.l31 - row.l21, racah_pattern_params(col)
+            )
+            v = t * neg_one_pow(row.l22 - col.l21) * r
+            if v != 0:
+                entries[(i, j)] = v
+    return entries
+
+
+TAU_REFERENCE_WEIGHTS = [str(w) for w in weights_up_to_height(6)] + [
+    "6,0,-6",
+    "14/3,2/3,-16/3",
+]
+
+
+@pytest.mark.parametrize("text", [str(w) for w in weights_up_to_height(6)])
+def test_t_factors_equal_the_fraction_formula(text):
+    basis = enumerate_patterns(HighestWeight.parse(text))
+    w = basis.weight
+    assert _t_factors(basis) == tuple(
+        reference_t_factor(w, p.l21, p.l11, p.l22) for p in basis
+    )
+
+
+@pytest.mark.parametrize("text", TAU_REFERENCE_WEIGHTS)
+def test_tau_raw_equals_the_fraction_formula(text):
+    basis = enumerate_patterns(HighestWeight.parse(text))
+    assert tau_raw(basis).entries == reference_tau_raw(basis)
 
 
 # -- rho ---------------------------------------------------------------------
