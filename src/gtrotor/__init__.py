@@ -11,7 +11,7 @@ from .gt_basis import (
     shift,
     weyl_dimension,
 )
-from .linalg import NonCancellingNorms, PatternMatrix
+from .linalg import PatternMatrix
 from .numerics import (
     ExactOnCircle,
     InvalidFactorialArgument,
@@ -30,7 +30,7 @@ from .oracle import (
     exp_matrix,
     rho_oracle,
 )
-from .rep import element_matrix, generator_matrix, to_normalized, verify_structure
+from .rep import element_matrix, generator_matrix, verify_structure
 from .rotations import (
     EulerAngles,
     NotSymmetricRep,

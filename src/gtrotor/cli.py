@@ -3,8 +3,8 @@ by any computation path, polynomial evaluation, and the verification suites.
 
 Output is JSON by default (rationals rendered as "p/q" strings so nothing is
 ever mangled through floats); matrices also accept --format csv.  Exit codes:
-0 success, 1 verification failure, 2 usage, domain or arithmetic error (an
-`error:` line on stderr, never a traceback).
+0 success, 1 verification failure, 2 usage, domain, arithmetic or
+out-of-memory error (an `error:` line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -39,7 +40,15 @@ class DomainError(Exception):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print payload as indented JSON (the text of json.dumps), written in
+    slices of 2^16 encoder chunks so the document is never one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while True:
+        part = list(islice(chunks, 1 << 16))
+        if not part:
+            break
+        sys.stdout.write("".join(part))
+    sys.stdout.write("\n")
 
 
 def _format_value(v) -> str:
@@ -282,7 +291,7 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, SignCalibrationFailed) as exc:
+    except (ValueError, ArithmeticError, MemoryError, SignCalibrationFailed) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,6 @@ from .gt_basis import IrrepBasis
 from .numerics import is_exact, rational
 
 
-class NonCancellingNorms(ArithmeticError):
-    """A normalized-basis entry kept an unresolved square root."""
-
-
 def _sqrt_float(v) -> float:
     """sqrt(v) for a positive exact v as a float, also where v itself
     overflows a float.  v / 4^k, with 4^k near v, is converted with one
@@ -121,11 +117,6 @@ class PatternMatrix:
             return self
         return PatternMatrix(
             self.basis, {k: float(v) for k, v in self.entries.items()}, exact=False
-        )
-
-    def transpose(self) -> "PatternMatrix":
-        return PatternMatrix(
-            self.basis, {(j, i): v for (i, j), v in self.entries.items()}, self.exact
         )
 
     def scaled(self, c) -> "PatternMatrix":
@@ -265,90 +256,18 @@ def exact_product(*factors: PatternMatrix) -> PatternMatrix:
     )
 
 
-def orthogonality_defect(m: PatternMatrix) -> PatternMatrix:
-    """m^T diag(N^2) m - diag(N^2); zero iff the norm-weighted orthogonality
-    relation holds."""
-    basis = m.basis
-    nsq = basis.norms_sq()
-    weighted = PatternMatrix(
-        basis,
-        {(i, j): nsq[i] * v for (i, j), v in m.entries.items()},
-        m.exact,
-    )
-    gram = m.transpose() @ weighted
-    target = PatternMatrix.diagonal(basis, nsq)
+def adjoint(m: PatternMatrix) -> PatternMatrix:
+    """diag(N^2)^-1 m^T diag(N^2): the transpose of m in the orthonormal
+    basis, carried back to the unnormalized one.  Entry (j, i) is
+    N_i^2 / N_j^2 * m[i, j], of the same kind as m.  An orthogonal
+    operator's adjoint is its inverse."""
+    nsq = m.basis.norms_sq()
+    entries = {(j, i): nsq[i] / nsq[j] * v for (i, j), v in m.entries.items()}
     if not m.exact:
-        target = target.to_float()
-    return gram - target
+        entries = {k: float(v) for k, v in entries.items()}
+    return PatternMatrix(m.basis, entries, m.exact)
 
 
-class NormalizedMatrix:
-    """View of an exact matrix conjugated into the orthonormal basis.
-
-    The conjugation multiplies entry (r, c) by N_r / N_c.  Those square roots
-    are kept formal: every exact question we ask (transposition, equality)
-    only needs the rational ratios (N_r/N_c)^2, and float evaluation takes
-    real square roots.  Asking for an exact entry whose ratio is not a perfect
-    square raises NonCancellingNorms.
-    """
-
-    def __init__(self, base: PatternMatrix):
-        if not base.exact:
-            raise TypeError("normalization view needs an exact matrix")
-        self.base = base
-        self.basis = base.basis
-
-    def entry_ratio_sq(self, i, j):
-        """Signed square of the normalized entry: sign * m_ij^2 N_i^2/N_j^2."""
-        v = self.base.get(i, j)
-        nsq = self.basis.norms_sq()
-        sq = v * v * nsq[i] / nsq[j]
-        return sq if v >= 0 else -sq
-
-    def entry(self, i, j):
-        v = self.base.get(i, j)
-        if v == 0:
-            return rational(0)
-        nsq = self.basis.norms_sq()
-        ratio = rational(nsq[i]) / rational(nsq[j])
-        num, den = ratio.numerator, ratio.denominator
-        rnum, rden = _isqrt_exact(num), _isqrt_exact(den)
-        if rnum is None or rden is None:
-            raise NonCancellingNorms(
-                f"entry ({i},{j}) keeps sqrt({num}/{den}) after normalization"
-            )
-        return v * rational(rnum, rden)
-
-    def entry_float(self, i, j) -> float:
-        v = self.base.get(i, j)
-        if v == 0:
-            return 0.0
-        nsq = self.basis.norms_sq()
-        return float(v) * (float(nsq[i]) / float(nsq[j])) ** 0.5
-
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.basis.dim, self.basis.dim))
-        for (i, j), _ in self.base.entries.items():
-            out[i, j] = self.entry_float(i, j)
-        return out
-
-    def equals_transpose_of(self, other: "NormalizedMatrix") -> bool:
-        """Exact check that self == other^T in the orthonormal basis."""
-        keys = set(self.base.entries) | {(j, i) for (i, j) in other.base.entries}
-        return all(
-            self.entry_ratio_sq(i, j) == other.entry_ratio_sq(j, i)
-            for (i, j) in keys
-        )
-
-    def is_orthogonal(self, tol: float = 1e-12) -> bool:
-        arr = self.to_numpy()
-        return float(np.max(np.abs(arr.T @ arr - np.eye(self.basis.dim)))) <= tol
-
-
-def _isqrt_exact(n):
-    """Integer square root if n is a perfect square, else None."""
-    n = int(n)
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def orthogonality_defect(m: PatternMatrix) -> PatternMatrix:
+    """adjoint(m) m - 1; zero iff m is orthogonal in the orthonormal basis."""
+    return adjoint(m) @ m - PatternMatrix.identity(m.basis, m.exact)

@@ -2,8 +2,8 @@
 
 Everything is assembled in the unnormalized basis, where all entries are
 exact rationals; the closed-form change-of-basis matrices of the rotations
-module live in the same basis.  Conjugation into the orthonormal basis is a
-separate view (to_normalized) that keeps square roots formal.
+module live in the same basis.  Transposition in the orthonormal basis is
+linalg.adjoint, which needs only the rational squared norms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gt_basis import (
     GTPattern,
     IrrepBasis,
 )
-from .linalg import NormalizedMatrix, PatternMatrix
+from .linalg import PatternMatrix, adjoint
 from .numerics import rational
 from .reporting import Report
 
@@ -161,11 +161,6 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
     return basis.memo(("elem", name), build)
 
 
-def to_normalized(m: PatternMatrix) -> NormalizedMatrix:
-    """View of m in the orthonormal basis (formal norm factors)."""
-    return NormalizedMatrix(m)
-
-
 def _residual_of_scalar(m: PatternMatrix, value) -> float:
     diff = m - PatternMatrix.identity(m.basis).scaled(value)
     return float(diff.max_abs())
@@ -215,7 +210,7 @@ def verify_structure(basis: IrrepBasis) -> Report:
         report.add(f"{name}_diagonal", wname, resid.is_zero(), resid.max_abs())
 
     for a, b in (("e12", "e21"), ("e13", "e31"), ("e23", "e32")):
-        ok = to_normalized(g[a]).equals_transpose_of(to_normalized(g[b]))
+        ok = adjoint(g[b]) == g[a]
         report.add(f"star_transposition[{a},{b}]", wname, ok, 0.0 if ok else 1.0)
 
     spectra = {(j_eigenvalue(p), y_eigenvalue(p), h_eigenvalue(p)) for p in basis}

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import lcm
 
 from .gt_basis import GTPattern, IrrepBasis, shift
-from .linalg import PatternMatrix, exact_product, orthogonality_defect
+from .linalg import PatternMatrix, adjoint, exact_product, orthogonality_defect
 from .numerics import (
     ZERO,
     Angle,
@@ -251,21 +251,20 @@ def tau(basis: IrrepBasis) -> PatternMatrix:
 
 
 def tau_inverse(basis: IrrepBasis) -> PatternMatrix:
-    """Inverse of tau through the squared-norm ratios (exact, no roots)."""
-
-    def build():
-        t = tau(basis)
-        nsq = basis.norms_sq()
-        entries = {
-            (j, i): nsq[i] / nsq[j] * v for (i, j), v in t.entries.items()
-        }
-        return PatternMatrix(basis, entries)
-
-    return basis.memo(("tau_inverse",), build)
+    """Inverse of tau: tau is orthogonal, so this is its adjoint (exact,
+    no roots)."""
+    return basis.memo(("tau_inverse",), lambda: adjoint(tau(basis)))
 
 
 # --------------------------------------------------------------------------
 # sigma: general rotations
+
+# Largest height l31 - l33 at which the float product stays orthogonal to
+# 1e-9 at the orthonormal scale (the rotations suite's oracle bound).  Worst
+# defect over 180 random radian triples at (20, 0): 6.8e-10; at (21, 0) one
+# of 150 reached 2.0e-9, and at (24, 0) 4.7e-9.  Above it the float rho_z
+# sums lose their digits: 6.3e-4 at height 30, 2.3e5 at height 60.
+FLOAT_HEIGHT_CAP = 20
 
 
 def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
@@ -274,8 +273,15 @@ def sigma_product(angles: EulerAngles, basis: IrrepBasis) -> PatternMatrix:
     Exact angles multiply exactly, as one integer chain (exact_product).
     Any float factor routes the whole product through the orthonormal basis,
     where every factor is an orthogonal matrix and the factorial-sized
-    entries of the raw basis cannot amplify roundoff.
+    entries of the raw basis cannot amplify roundoff.  Float angles are
+    refused above FLOAT_HEIGHT_CAP, before any matrix is built.
     """
+    if not angles.all_exact() and basis.weight.height > FLOAT_HEIGHT_CAP:
+        raise ValueError(
+            f"float angles lose their digits above height {FLOAT_HEIGHT_CAP} "
+            f"(FLOAT_HEIGHT_CAP); {basis.weight} has height {basis.weight.height}. "
+            "Use exact angles 's:c', or the float oracle (--path oracle)"
+        )
     rho_phi = rho_z(angles.phi, basis)
     rho_theta = rho_z(angles.theta, basis)
     rho_chi = rho_z(angles.chi, basis)

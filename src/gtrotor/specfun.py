@@ -2,7 +2,9 @@
 
 All series are summed term by term; termination is detected by a numerator
 Pochhammer factor hitting zero, never by a magnitude test.  Evaluation is
-exact for rational inputs and plain float otherwise.
+exact-only: the values are exact checks and closed-form entries (float work
+belongs to the numpy oracle), and krawtchouk, racah_tilde and
+hyp_terminating raise TypeError on float input.
 
 Out-of-range conventions: a Krawtchouk value is zero when the degree or the
 variable leaves [0, N]; the shifted Racah value is zero outside the window
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from .gt_basis import GTPattern
-from .numerics import Exact, as_int, is_exact, neg_one_pow, rational
+from .numerics import ONE, ZERO, Exact, as_int, is_exact, neg_one_pow, rational
 from .reporting import Report
 
 
@@ -30,26 +32,28 @@ class DenominatorPoleBeforeTermination(ZeroDivisionError):
     """A denominator Pochhammer vanished at a live term."""
 
 
+def _require_exact(*values) -> None:
+    if not all(map(is_exact, values)):
+        raise TypeError(f"specfun takes exact (rational) input only, got {values}")
+
+
 def hyp_terminating(numerator_params, denominator_params, z, max_terms: int):
-    """Sum of the terminating series pFq(a; b; z).
+    """Sum of the terminating series pFq(a; b; z), exact input only.
 
     A zero numerator factor at step k kills every term past k; a zero
     denominator factor before that is an error surfaced to the caller.
     """
     a = list(numerator_params)
     b = list(denominator_params)
-    exact = is_exact(z) and all(map(is_exact, a + b))
-    if not exact:
-        a, b, z = [float(v) for v in a], [float(v) for v in b], float(z)
-    term = rational(1) if exact else 1.0
-    total = term
+    _require_exact(z, *a, *b)
+    term = total = ONE
     for k in range(max_terms + 1):
         num = term
         for ai in a:
             num = num * (ai + k)
         if num == 0:
             return total
-        den = rational(1) if exact else 1.0
+        den = ONE
         for bj in b:
             den = den * (bj + k)
         if den == 0:
@@ -74,15 +78,10 @@ class KrawtchoukParams:
 
 
 @lru_cache(maxsize=None)
-def _kraw_sum_exact(n: int, x, N: int, p):
-    return _kraw_sum(n, x, N, p)
-
-
-def _kraw_sum(n, x, N, p):
+def _kraw_sum(n: int, x, N: int, p):
     """2F1(-n, -x; -N; 1/p) for 0 <= n <= N; terminates through -n."""
-    term = rational(1) if (is_exact(x) and is_exact(p)) else 1.0
-    total = term
-    for k in range(as_int(n)):
+    term = total = ONE
+    for k in range(n):
         term = term * (k - n) * (k - x) / ((k - N) * (k + 1) * p)
         if term == 0:
             break
@@ -91,14 +90,14 @@ def _kraw_sum(n, x, N, p):
 
 
 def krawtchouk(n, x, params: KrawtchoukParams):
-    """Krawtchouk polynomial K_n(x; p, N), zero outside [0, N]."""
+    """Krawtchouk polynomial K_n(x; p, N), zero outside [0, N]; exact
+    input only."""
+    _require_exact(x, params.p)
     N = as_int(params.N)
     n = as_int(n)
     if n < 0 or n > N or x < 0 or x > N:
-        return rational(0) if is_exact(x) and is_exact(params.p) else 0.0
-    if is_exact(x) and is_exact(params.p):
-        return _kraw_sum_exact(n, rational(x), N, rational(params.p))
-    return _kraw_sum(n, x, N, params.p)
+        return ZERO
+    return _kraw_sum(n, rational(x), N, rational(params.p))
 
 
 @lru_cache(maxsize=None)
@@ -122,20 +121,19 @@ def krawtchouk_trig_terms(n: int, x: int, N: int):
 
 def krawtchouk_trig(n, x, N, s, c):
     """tan^(n+x) * cos^N * K_n(x; sin^2, N) expanded into monomials in sin
-    and cos, a polynomial on the whole circle; exact when s is exact.
+    and cos, a polynomial on the whole circle.
 
     The joint expansion stays exact at sin = 0, where the bare Krawtchouk
     value diverges termwise against the vanishing tangent power.  The
     reflection of krawtchouk_trig_terms keeps the cosine power nonnegative:
-    the value stays finite and exact at cos = 0, float sums do not cancel as
-    cos -> 0, and fewer terms are summed.  Out-of-range degree or variable
-    gives zero, as for the bare polynomial."""
+    the value stays finite and exact at cos = 0, and fewer terms are
+    summed.  Out-of-range degree or variable gives zero, as for the bare
+    polynomial."""
     n, x, N = as_int(n), as_int(x), as_int(N)
-    exact = is_exact(s)
     if n < 0 or n > N or x < 0 or x > N:
-        return rational(0) if exact else 0.0
+        return ZERO
     sign, e, terms = krawtchouk_trig_terms(n, x, N)
-    total = sum((coef if exact else float(coef)) * s**sp for sp, coef in terms)
+    total = sum(coef * s**sp for sp, coef in terms)
     return sign * total * c**e
 
 
@@ -156,9 +154,9 @@ class RacahParams:
 
 @lru_cache(maxsize=None)
 def racah_sum_exact(n: int, x, a, b, c, d):
-    """The series of _racah_sum on exact input, summed on integers.  Ints
-    and equal rationals hash alike, so int arguments share cache entries
-    with rational ones.
+    """4F3(-n, n+a+b+1, -x, x+c+d+1; a+1, b+d+1, c+1; 1), terminating in -n,
+    on exact input, summed on integers.  Ints and equal rationals hash
+    alike, so int arguments share cache entries with rational ones.
 
     Scaled by L, the lcm of the parameters' denominators, every factor of
     the term ratio is an integer (the powers of L cancel), so term k is
@@ -183,47 +181,27 @@ def racah_sum_exact(n: int, x, a, b, c, d):
     return rational(total, den)
 
 
-def _racah_sum(n, x, a, b, c, d):
-    """4F3(-n, n+a+b+1, -x, x+c+d+1; a+1, b+d+1, c+1; 1), terminating in -n,
-    on float input; exact input is summed by racah_sum_exact."""
-    term = total = 1.0
-    u, v = n + a + b + 1, x + c + d + 1
-    for k in range(as_int(n)):
-        num = (k - n) * (u + k) * (k - x) * (v + k)
-        if num == 0:
-            break
-        den = (a + 1 + k) * (b + d + 1 + k) * (c + 1 + k) * (k + 1)
-        if den == 0:
-            raise DenominatorPoleBeforeTermination(
-                f"Racah denominator vanished at term {k + 1}"
-            )
-        term = term * num / den
-        total = total + term
-    return total
-
-
 def racah_tilde_raw(n, x, alpha, beta, gamma, delta):
-    """Shifted Racah value with only the negative-index convention applied."""
+    """Shifted Racah value with only the negative-index convention applied;
+    exact input only."""
+    _require_exact(x, alpha, beta, gamma, delta)
     if n < 0 or x < 0:
-        return rational(0)
-    n = as_int(n)
-    if all(map(is_exact, (x, alpha, beta, gamma, delta))):
-        return racah_sum_exact(
-            n, rational(x), rational(alpha), rational(beta),
-            rational(gamma), rational(delta),
-        )
-    return _racah_sum(n, x, alpha, beta, gamma, delta)
+        return ZERO
+    return racah_sum_exact(
+        as_int(n), rational(x), rational(alpha), rational(beta),
+        rational(gamma), rational(delta),
+    )
 
 
 def racah_tilde(n, x, params: RacahParams):
-    """Shifted Racah polynomial with the full out-of-window convention."""
+    """Shifted Racah polynomial with the full out-of-window convention;
+    exact input only."""
+    args = (x, params.alpha, params.beta, params.gamma, params.delta)
+    _require_exact(*args)
     N = params.window
     if n < 0 or x < 0 or n > N or x > N:
-        exact = all(
-            map(is_exact, (x, params.alpha, params.beta, params.gamma, params.delta))
-        )
-        return rational(0) if exact else 0.0
-    return racah_tilde_raw(n, x, params.alpha, params.beta, params.gamma, params.delta)
+        return ZERO
+    return racah_tilde_raw(n, *args)
 
 
 def check_krawtchouk_orthogonality(params: KrawtchoukParams) -> Report:

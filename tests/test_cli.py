@@ -182,7 +182,12 @@ def test_tau_height_ten_succeeds(capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [ArithmeticError("boom"), ZeroDivisionError("boom"), SignCalibrationFailed("boom")],
+    [
+        ArithmeticError("boom"),
+        ZeroDivisionError("boom"),
+        SignCalibrationFailed("boom"),
+        MemoryError("boom"),
+    ],
 )
 def test_internal_errors_exit_two_with_message(capsys, monkeypatch, exc):
     def fail(args):
@@ -194,3 +199,42 @@ def test_internal_errors_exit_two_with_message(capsys, monkeypatch, exc):
     assert out == ""
     assert err.startswith("error:") and "boom" in err
     assert "Traceback" not in err
+
+
+def test_verify_height_above_a_suite_cap_is_refused(capsys, monkeypatch):
+    """--max-height above a suite's cap exits 2 naming the suite and its
+    cap, before any suite runs."""
+    import gtrotor.verify as verify
+
+    def no_work(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "_pmap", no_work)
+    for suite, height, cap in (("all", 6, 5), ("bispectral", 5, 4), ("rotations", 6, 5)):
+        code, out, err = run_capture(
+            capsys, ["verify", "--suite", suite, "--max-height", str(height)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"capped at height {cap}" in err
+
+
+def test_sigma_float_angles_refused_above_height_cap(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code, out, err = run_capture(
+        capsys,
+        ["sigma", "--weight=40,-20,-20", "--angles=rad=0.3,rad=0.7,rad=1.1"],
+    )
+    assert time.perf_counter() - t0 < 2
+    assert code == 2
+    assert out == ""
+    assert "height 20" in err and "--path oracle" in err and "'s:c'" in err
+
+
+def test_emit_streams_the_json_text(capsys):
+    """Several 2^16-chunk slices join to exactly the text of json.dumps."""
+    payload = {"entries": [[i, i + 1, f"{i}/7"] for i in range(20000)], "n": 1}
+    cli._emit(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -9,6 +9,7 @@ from gtrotor.racah_algebra import (
     commutes_with_cartan_report,
     gamma_residual,
     hilbert_series_coeffs,
+    jbar_conjugation_residual,
     jbar_matrix,
     jbar_tridiagonal_report,
     k_matrix,
@@ -28,7 +29,9 @@ def adjoint():
 
 
 def test_jbar_conjugation_check_runs(adjoint):
-    jbar_matrix(adjoint, verify=True)  # raises on mismatch
+    assert jbar_conjugation_residual(adjoint).is_zero()
+    fractional = basis_of(rational(4, 3), rational(1, 3), rational(-5, 3))
+    assert jbar_conjugation_residual(fractional).is_zero()
 
 
 def test_jbar_spectrum_is_permutation_of_j():
@@ -48,7 +51,9 @@ def test_jbar_trivial_rep():
 
 @pytest.mark.parametrize("triple", [(1, 0, -1), (2, 0, -2)])
 def test_k_matrix_cubic_identity(triple):
-    k_matrix(basis_of(*triple), verify=True)  # raises on mismatch
+    report = centralizer_identity_residuals(basis_of(*triple))
+    (check,) = [c for c in report.checks if c.name == "centralizer[K_difference]"]
+    assert check.passed and check.residual == 0.0
 
 
 @pytest.mark.parametrize(

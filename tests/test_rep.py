@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from gtrotor import linalg
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns, shift, weights_up_to_height
-from gtrotor.linalg import NonCancellingNorms, PatternMatrix
+from gtrotor.linalg import PatternMatrix
 from gtrotor.numerics import exact_angle, rational
 from gtrotor.rep import (
     GENERATOR_NAMES,
@@ -11,7 +13,6 @@ from gtrotor.rep import (
     generator_matrix,
     h_eigenvalue,
     j_eigenvalue,
-    to_normalized,
     verify_structure,
     y_eigenvalue,
 )
@@ -125,39 +126,35 @@ def test_diagonal_eigenvalues(adjoint):
         assert m == PatternMatrix.diagonal(adjoint, [eig(p) for p in adjoint])
 
 
-def test_normalized_transposition_exact(adjoint):
-    for a, b in (("e12", "e21"), ("e13", "e31"), ("e23", "e32")):
-        na = to_normalized(generator_matrix(a, adjoint))
-        nb = to_normalized(generator_matrix(b, adjoint))
-        assert na.equals_transpose_of(nb)
+def test_adjoint_transposition_exact(adjoint):
+    """e_ij and e_ji are each other's adjoint, exactly, on an integral and a
+    fractional weight; the adjoint is the transpose at the orthonormal
+    scale, and a diagonal element is its own adjoint."""
+    fractional = enumerate_patterns(
+        HighestWeight.of(rational(4, 3), rational(1, 3), rational(-5, 3))
+    )
+    for basis in (adjoint, fractional):
+        for a, b in (("e12", "e21"), ("e13", "e31"), ("e23", "e32")):
+            ga, gb = generator_matrix(a, basis), generator_matrix(b, basis)
+            assert linalg.adjoint(gb) == ga
+            assert linalg.adjoint(ga) == gb
+            assert np.allclose(ga.zeta_numpy(), gb.zeta_numpy().T, atol=1e-12)
+        j = element_matrix("J", basis)
+        assert linalg.adjoint(j) == j
 
 
-def test_normalized_diagonal_unchanged(adjoint):
-    j = element_matrix("J", adjoint)
-    view = to_normalized(j)
-    for i in range(adjoint.dim):
-        assert view.entry(i, i) == j.get(i, i)
-
-
-def test_normalized_entry_square_root_surfaces(adjoint):
-    view = to_normalized(generator_matrix("e21", adjoint))
-    seen_error = False
-    for (i, j) in view.base.entries:
-        try:
-            view.entry(i, j)
-        except NonCancellingNorms:
-            seen_error = True
-            assert view.entry_float(i, j) == pytest.approx(
-                view.base.get(i, j) * (float(adjoint.norms_sq()[i]) / float(adjoint.norms_sq()[j])) ** 0.5
-            )
-    assert seen_error
-
-
-def test_normalized_rho_is_orthogonal(adjoint):
+def test_adjoint_of_rho_is_its_inverse(adjoint):
     from gtrotor.rotations import rho_z
 
     rho = rho_z(exact_angle(rational(3, 5), rational(4, 5)), adjoint)
-    assert to_normalized(rho).is_orthogonal(tol=1e-12)
+    inv = linalg.adjoint(rho)
+    assert inv.exact
+    assert (inv @ rho).is_identity() and (rho @ inv).is_identity()
+    assert linalg.orthogonality_defect(rho).is_zero()
+    assert not linalg.orthogonality_defect(rho.scaled(rational(2))).is_zero()
+    approx = linalg.adjoint(rho.to_float())
+    assert not approx.exact
+    assert approx.max_abs_diff(inv) < 1e-12
 
 
 @pytest.mark.parametrize("triple", [(1, 0, -1), (2, 0, -2), (0, 0, 0)])

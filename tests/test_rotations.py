@@ -569,3 +569,20 @@ def test_recurrence_eigenvalue_forms(adjoint):
         lhs = element_matrix(name, adjoint) @ sigma
         for (i, j), v in lhs.entries.items():
             assert v == eig(adjoint[i]) * sigma.get(i, j)
+
+
+def test_float_sigma_product_height_cap():
+    """Float angles are refused above FLOAT_HEIGHT_CAP before any matrix is
+    built; at the cap the product is orthogonal to 1e-9; exact angles are
+    not capped."""
+    from gtrotor.rotations import FLOAT_HEIGHT_CAP
+
+    at_cap = enumerate_patterns(HighestWeight.from_row_lengths(FLOAT_HEIGHT_CAP, 0))
+    for rads in ((0.3, 0.7, 1.1), (1.7, -2.2, 2.8), (0.05, 3.0, -1.4)):
+        z = sigma_product(EulerAngles(*map(Radians, rads)), at_cap).zeta_numpy()
+        assert np.max(np.abs(z.T @ z - np.eye(at_cap.dim))) <= 1e-9
+    above = enumerate_patterns(HighestWeight.from_row_lengths(FLOAT_HEIGHT_CAP + 1, 0))
+    with pytest.raises(ValueError, match=f"height {FLOAT_HEIGHT_CAP}"):
+        sigma_product(EulerAngles(Radians(0.3), A35, A35), above)
+    assert not above._cache
+    assert sigma_product(EulerAngles(A35, A513, A35), above).exact

@@ -231,3 +231,26 @@ def test_racah_pattern_contiguity_sampled():
         seen.add(params)
         for which in ("Wilson413", "FourTerm"):
             assert check_racah_contiguity(params, which).passed
+
+
+def test_hyp_rejects_float_input():
+    with pytest.raises(TypeError):
+        hyp_terminating([rational(-1), rational(-1)], [rational(-2)], 2.0, 10)
+
+
+def test_krawtchouk_rejects_float_input():
+    params = KrawtchoukParams(rational(1, 2), 4)
+    for x in (1.0, 7.0):  # in range and out of range
+        with pytest.raises(TypeError):
+            krawtchouk(1, x, params)
+    with pytest.raises(TypeError):
+        krawtchouk(1, rational(1), KrawtchoukParams(0.5, 4))
+
+
+def test_racah_tilde_rejects_float_input():
+    params = RacahParams(rational(-4), rational(-4), rational(-4), rational(0))
+    for x in (1.0, 9.0):  # inside and outside the window
+        with pytest.raises(TypeError):
+            racah_tilde(1, x, params)
+    with pytest.raises(TypeError):
+        racah_tilde(1, rational(1), RacahParams(-4.0, rational(-4), rational(-4), 0))
