@@ -30,7 +30,7 @@ from .racah_algebra import hilbert_series_two_ways
 from .rep import ELEMENT_NAMES, element_matrix
 from .rotations import EulerAngles, rotation_matrix, sigma_formula, sigma_product, tau
 from .specfun import KrawtchoukParams, RacahParams, krawtchouk, racah_tilde
-from .verify import run_suites
+from .verify import run_suites, suite_heights
 
 CANONICAL_ORDER = "l21,l22,l11-lex"
 
@@ -198,12 +198,15 @@ def cmd_polys(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suites([args.suite], args.max_height, args.threads)
+    heights = suite_heights([args.suite], args.max_height)
+    reports = run_suites(heights, args.threads)
     all_pass = True
-    for report in reports:
+    for report, height in zip(reports, heights.values()):
         for check in report.checks:
             print(check.line())
-        print(report.summary())
+        # with --max-height every suite ran at that height, and the summary
+        # reads as it always has; by default it names each suite's own height
+        print(report.summary(height if args.max_height is None else None))
         all_pass &= report.passed
     if args.format == "json":
         _emit([r.as_dict() for r in reports])
@@ -267,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rep", "polys", "rotations", "bispectral", "racah-algebra", "hilbert", "all"),
         default="all",
     )
-    p.add_argument("--max-height", type=int, default=4)
+    p.add_argument(
+        "--max-height", type=int, default=None,
+        help="defaults to each suite's acceptance height "
+        "(rep 6, polys 5, rotations 5, bispectral 4, racah-algebra 6)",
+    )
     p.add_argument("--threads", type=int, default=None,
                    help="defaults to GTROTOR_THREADS or the CPU count")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -156,10 +156,10 @@ class PatternMatrix:
         return exact_product(self, other)
 
     def commutator(self, other) -> "PatternMatrix":
-        return self @ other - other @ self
+        return exact_combination([(1, (self, other)), (-1, (other, self))])
 
     def anticommutator(self, other) -> "PatternMatrix":
-        return self @ other + other @ self
+        return exact_combination([(1, (self, other)), (1, (other, self))])
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -229,6 +229,18 @@ def _integer_matmul(a: dict, b: dict) -> dict:
     return out
 
 
+def _chain(rows_of, factors):
+    """(integer rows, D) of the product of factors, multiplied from the right
+    with no intermediate reduction; rows_of gives a factor's integer rows
+    and denominator, and D is the product of the factor denominators."""
+    rows, D = rows_of(factors[-1])
+    for f in reversed(factors[:-1]):
+        f_rows, d = rows_of(f)
+        rows = _integer_matmul(f_rows, rows)
+        D *= d
+    return rows, D
+
+
 def exact_product(*factors: PatternMatrix) -> PatternMatrix:
     """Exact product of one or more matrices on one basis, on Python ints.
 
@@ -245,15 +257,63 @@ def exact_product(*factors: PatternMatrix) -> PatternMatrix:
         raise ValueError("matrices live on different bases")
     if not all(f.exact for f in factors):
         raise TypeError("exact_product needs exact matrices")
-    rows, D = _integer_rows(factors[-1])
-    for f in reversed(factors[:-1]):
-        f_rows, d = _integer_rows(f)
-        rows = _integer_matmul(f_rows, rows)
-        D *= d
+    rows, D = _chain(_integer_rows, factors)
     return PatternMatrix._nonzero(
         basis,
         {(i, k): rational(v, D) for i, row in rows.items() for k, v in row.items()},
     )
+
+
+def exact_combination(terms, basis: IrrepBasis = None) -> PatternMatrix:
+    """Exact sum of c * F1 ... Fm over (c, (F1, ..., Fm)) terms, on Python ints.
+
+    Each distinct factor object is converted to integer rows once per call
+    and each term's chain is multiplied as in exact_product.  The terms are
+    summed as integers over the lcm of their denominators, and only the
+    surviving entries are divided, so a combination that vanishes builds no
+    rational at all.  basis is needed only for an empty sum; every factor
+    must be exact and on that basis."""
+    terms = [(c, tuple(factors)) for c, factors in terms]
+    if basis is None:
+        if not terms:
+            raise ValueError("an empty exact_combination needs a basis")
+        basis = terms[0][1][0].basis
+    for c, factors in terms:
+        if not factors:
+            raise ValueError("every term of exact_combination needs a factor")
+        if not is_exact(c) or not all(f.exact for f in factors):
+            raise TypeError("exact_combination needs exact coefficients and matrices")
+        if any(f.basis.weight != basis.weight for f in factors):
+            raise ValueError("matrices live on different bases")
+
+    converted = {}
+
+    def rows_of(f):
+        hit = converted.get(id(f))
+        if hit is None:
+            hit = converted[id(f)] = _integer_rows(f)
+        return hit
+
+    chains = []
+    for c, factors in terms:
+        if c:
+            rows, D = _chain(rows_of, factors)
+            chains.append((c.numerator, c.denominator * D, rows))
+    L = math.lcm(*(den for _, den, _ in chains))
+    acc = {}
+    for num, den, rows in chains:
+        f = num * (L // den)
+        for i, row in rows.items():
+            out = acc.setdefault(i, {})
+            for k, v in row.items():
+                if k in out:
+                    out[k] += f * v
+                else:
+                    out[k] = f * v
+    entries = {
+        (i, k): rational(v, L) for i, row in acc.items() for k, v in row.items() if v
+    }
+    return PatternMatrix._nonzero(basis, entries)
 
 
 def adjoint(m: PatternMatrix) -> PatternMatrix:

@@ -24,7 +24,7 @@ from .gt_basis import (
     GTPattern,
     IrrepBasis,
 )
-from .linalg import PatternMatrix, adjoint
+from .linalg import PatternMatrix, adjoint, exact_combination
 from .numerics import rational
 from .reporting import Report
 
@@ -120,7 +120,9 @@ def h_eigenvalue(p: GTPattern):
 def sl2_casimir(d: PatternMatrix, lower: PatternMatrix, upper: PatternMatrix):
     """Casimir (d^2 + 2d)/4 + lower upper of the sl2 with Cartan element d
     and raising/lowering pair (upper, lower)."""
-    return (d @ d + d.scaled(rational(2))).scaled(rational(1, 4)) + lower @ upper
+    return exact_combination(
+        [(rational(1, 4), (d, d)), (rational(1, 2), (d,)), (1, (lower, upper))]
+    )
 
 
 def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
@@ -131,15 +133,15 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
     def build():
         g = lambda n: generator_matrix(n, basis)
         if name == "C2":
-            out = PatternMatrix.zeros(basis)
-            for i, j in itertools.product(range(1, 4), repeat=2):
-                out = out + g(f"e{i}{j}") @ g(f"e{j}{i}")
-            return out
+            return exact_combination(
+                (1, (g(f"e{i}{j}"), g(f"e{j}{i}")))
+                for i, j in itertools.product(range(1, 4), repeat=2)
+            )
         if name == "C3":
-            out = PatternMatrix.zeros(basis)
-            for i, j, k in itertools.product(range(1, 4), repeat=3):
-                out = out + g(f"e{i}{j}") @ g(f"e{j}{k}") @ g(f"e{k}{i}")
-            return out
+            return exact_combination(
+                (1, (g(f"e{i}{j}"), g(f"e{j}{k}"), g(f"e{k}{i}")))
+                for i, j, k in itertools.product(range(1, 4), repeat=3)
+            )
         if name == "J":
             return sl2_casimir(g("e11") - g("e22"), g("e21"), g("e12"))
         if name == "Y":
@@ -161,11 +163,6 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
     return basis.memo(("elem", name), build)
 
 
-def _residual_of_scalar(m: PatternMatrix, value) -> float:
-    diff = m - PatternMatrix.identity(m.basis).scaled(value)
-    return float(diff.max_abs())
-
-
 def verify_structure(basis: IrrepBasis) -> Report:
     """All structural identities of the represented algebra, exactly.
 
@@ -180,28 +177,22 @@ def verify_structure(basis: IrrepBasis) -> Report:
     for (a, b) in itertools.combinations(GENERATOR_NAMES, 2):
         i, j = int(a[1]), int(a[2])
         k, l = int(b[1]), int(b[2])
-        expected = PatternMatrix.zeros(basis)
+        # [e_ij, e_kl] - (delta_jk e_il - delta_il e_kj)
+        terms = [(1, (g[a], g[b])), (-1, (g[b], g[a]))]
         if j == k:
-            expected = expected + g[f"e{i}{l}"]
+            terms.append((-1, (g[f"e{i}{l}"],)))
         if i == l:
-            expected = expected - g[f"e{k}{j}"]
-        resid = g[a].commutator(g[b]) - expected
+            terms.append((1, (g[f"e{k}{j}"],)))
+        resid = exact_combination(terms)
         report.add(f"commutator[{a},{b}]", wname, resid.is_zero(), resid.max_abs())
 
-    c2 = element_matrix("C2", basis)
-    report.add(
-        "casimir2_scalar",
-        wname,
-        c2 == PatternMatrix.identity(basis).scaled(casimir2_value(basis.weight)),
-        _residual_of_scalar(c2, casimir2_value(basis.weight)),
-    )
-    c3 = element_matrix("C3", basis)
-    report.add(
-        "casimir3_scalar",
-        wname,
-        c3 == PatternMatrix.identity(basis).scaled(casimir3_value(basis.weight)),
-        _residual_of_scalar(c3, casimir3_value(basis.weight)),
-    )
+    ident = PatternMatrix.identity(basis)
+    for name, value in (
+        ("C2", casimir2_value(basis.weight)),
+        ("C3", casimir3_value(basis.weight)),
+    ):
+        resid = element_matrix(name, basis) - ident.scaled(value)
+        report.add(f"casimir{name[1]}_scalar", wname, resid.is_zero(), resid.max_abs())
 
     for name, eig in (("J", j_eigenvalue), ("Y", y_eigenvalue), ("H", h_eigenvalue)):
         m = element_matrix(name, basis)

@@ -40,10 +40,11 @@ class Report:
     def failures(self) -> List[Check]:
         return [c for c in self.checks if not c.passed]
 
-    def summary(self) -> str:
+    def summary(self, height: Optional[int] = None) -> str:
         n_fail = len(self.failures)
         verdict = "PASS" if n_fail == 0 else f"FAIL ({n_fail} failing)"
-        return f"suite {self.suite}: {len(self.checks)} checks, {verdict}"
+        at = "" if height is None else f" up to height {height}"
+        return f"suite {self.suite}{at}: {len(self.checks)} checks, {verdict}"
 
     def as_dict(self) -> dict:
         return {

@@ -18,14 +18,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .gt_basis import GTPattern, IrrepBasis, shift
-from .linalg import PatternMatrix, adjoint, exact_product, orthogonality_defect
+from .gt_basis import GTPattern, IrrepBasis
+from .linalg import (
+    PatternMatrix,
+    adjoint,
+    exact_combination,
+    exact_product,
+    orthogonality_defect,
+)
 from .numerics import (
     ZERO,
     Angle,
     as_int,
     factorial,
-    is_exact,
     neg_one_pow,
     rational,
     sin_cos,
@@ -611,18 +616,19 @@ def transpose3(m):
 
 
 def _psi_generator(s3, i: int, j: int, basis: IrrepBasis) -> PatternMatrix:
-    out = PatternMatrix.zeros(basis, exact=is_exact(s3[0][0]))
-    for k in range(1, 4):
-        for l in range(1, 4):
-            coeff = s3[k - 1][i - 1] * s3[l - 1][j - 1]
-            if coeff != 0:
-                out = out + generator_matrix(f"e{k}{l}", basis).scaled(coeff)
-    return out
+    """Psi_S(e_ij), the sum of S_ki S_lj e_kl over k and l, as one exact
+    combination of generator matrices."""
+    terms = [
+        (s3[k - 1][i - 1] * s3[l - 1][j - 1], (generator_matrix(f"e{k}{l}", basis),))
+        for k in range(1, 4)
+        for l in range(1, 4)
+    ]
+    return exact_combination(terms, basis)
 
 
 def psi_element(s3, name: str, basis: IrrepBasis) -> PatternMatrix:
     """Represented image of H, Y or J under the inner automorphism of the
-    rotation with defining matrix s3."""
+    rotation with exact defining matrix s3."""
     p = lambda i, j: _psi_generator(s3, i, j, basis)
     if name == "H":
         return p(1, 1) - p(2, 2)
@@ -635,6 +641,14 @@ def psi_element(s3, name: str, basis: IrrepBasis) -> PatternMatrix:
     raise ValueError(f"bispectral residuals are defined for H, Y, J; got {name!r}")
 
 
+def _require_exact_angles(angles: EulerAngles) -> None:
+    if not angles.all_exact():
+        raise ValueError(
+            "bispectral residuals are exact checks and take exact angles 's:c', "
+            f"got {angles.chi},{angles.theta},{angles.phi}"
+        )
+
+
 def bispectral_residual(
     g: str,
     kind: str,
@@ -643,83 +657,65 @@ def bispectral_residual(
     sigma: PatternMatrix = None,
 ) -> PatternMatrix:
     """Recurrence: sigma Psi_S(g) - g sigma.  Difference: sigma g -
-    Psi_{S^t}(g) sigma.  Both contracts are the zero matrix."""
+    Psi_{S^t}(g) sigma.  Both contracts are the zero matrix; exact angles
+    only, and each residual is one exact combination."""
+    if kind not in ("Recurrence", "Difference"):
+        raise ValueError(f"kind must be Recurrence or Difference, got {kind!r}")
+    _require_exact_angles(angles)
     if sigma is None:
         sigma = sigma_product(angles, basis)
     s3 = rotation_matrix(angles)
     gm = element_matrix(g, basis)
     if kind == "Recurrence":
-        return sigma @ psi_element(s3, g, basis) - gm @ sigma
-    if kind == "Difference":
-        return sigma @ gm - psi_element(transpose3(s3), g, basis) @ sigma
-    raise ValueError(f"kind must be Recurrence or Difference, got {kind!r}")
+        terms = [(1, (sigma, psi_element(s3, g, basis))), (-1, (gm, sigma))]
+    else:
+        terms = [(1, (sigma, gm)), (-1, (psi_element(transpose3(s3), g, basis), sigma))]
+    return exact_combination(terms)
 
 
 def h_recurrence_explicit_residual(
     angles: EulerAngles, basis: IrrepBasis, sigma: PatternMatrix = None
 ) -> PatternMatrix:
-    """The explicit nine-group recurrence for g = H, assembled term by term
-    from the entries of S and the shifted columns of sigma; must equal the
-    mechanical residual, i.e. vanish."""
+    """The explicit nine-group recurrence for g = H: sigma X - diag(h) sigma.
+
+    Column j of X holds the coefficients with which the shifted columns of
+    sigma enter column j of the recurrence: the diagonal term and the ten
+    pattern shifts, each a product of entries of S and of the pattern's
+    lattice coordinates, computed once per column.  X is assembled from S
+    alone, independent of psi_element, so this must equal the mechanical
+    residual, i.e. vanish.  Exact angles only."""
+    _require_exact_angles(angles)
     if sigma is None:
         sigma = sigma_product(angles, basis)
     s3 = rotation_matrix(angles)
-    s = lambda i, j: s3[i - 1][j - 1]
-    w = basis.weight
-    zero = rational(0) if sigma.exact else 0.0
-
-    def sig(i, pattern):
-        if pattern is None:
-            return zero
-        j = basis.index.get(pattern)
-        return zero if j is None else sigma.get(i, j)
-
+    # weight of the group (k, l) of terms: S_k1 S_l1 - S_k2 S_l2
+    c = lambda k, l: s3[k - 1][0] * s3[l - 1][0] - s3[k - 1][1] * s3[l - 1][1]
+    c12, c21, c23, c32, c13, c31 = c(1, 2), c(2, 1), c(2, 3), c(3, 2), c(1, 3), c(3, 1)
+    c11, c22, c33 = c(1, 1), c(2, 2), c(3, 3)
+    index = {co[:3]: i for i, co in enumerate(basis.lattice)}
     entries = {}
-    for jcol, p in enumerate(basis):
-        l21, l22, l11 = p.l21, p.l22, p.l11
-        den = l21 - l22 + 1
-        moves = {
-            name: shift(p, mv)
-            for name, mv in {
-                "+11": (1, 0, 0), "-11": (-1, 0, 0),
-                "+21": (0, 1, 0), "-21": (0, -1, 0),
-                "+22": (0, 0, 1), "-22": (0, 0, -1),
-                "+11+21": (1, 1, 0), "+11+22": (1, 0, 1),
-                "-11-21": (-1, -1, 0), "-11-22": (-1, 0, -1),
-            }.items()
-        }
-        for irow, rp in enumerate(basis):
-            total = (
-                (s(1, 1) ** 2 - s(1, 2) ** 2) * l11
-                + (s(2, 1) ** 2 - s(2, 2) ** 2) * (l21 + l22 - l11)
-                - (s(3, 1) ** 2 - s(3, 2) ** 2) * (l21 + l22)
-            ) * sigma.get(irow, jcol)
-            total += (
-                (s(1, 1) * s(2, 1) - s(1, 2) * s(2, 2))
-                * (l21 - l11)
-                * (l11 - l22 + 1)
-                * sig(irow, moves["+11"])
-            )
-            total += (s(2, 1) * s(1, 1) - s(2, 2) * s(1, 2)) * sig(irow, moves["-11"])
-            total += (s(2, 1) * s(3, 1) - s(2, 2) * s(3, 2)) * (
-                (w.l31 - l21) / den * sig(irow, moves["+21"])
-                + (w.l31 - l22 + 1) / den * sig(irow, moves["+22"])
-            )
-            total += (s(3, 1) * s(2, 1) - s(3, 2) * s(2, 2)) * (
-                (l21 - w.l32) * (l21 - w.l33 + 1) * (l21 - l11) / den
-                * sig(irow, moves["-21"])
-                + (l11 - l22 + 1) * (w.l32 - l22 + 1) * (l22 - w.l33) / den
-                * sig(irow, moves["-22"])
-            )
-            total += (s(1, 1) * s(3, 1) - s(1, 2) * s(3, 2)) * (
-                (l11 - l22 + 1) * (w.l31 - l21) / den * sig(irow, moves["+11+21"])
-                - (l21 - l11) * (w.l31 - l22 + 1) / den * sig(irow, moves["+11+22"])
-            )
-            total += (s(3, 1) * s(1, 1) - s(3, 2) * s(1, 2)) * (
-                (l21 - w.l32) * (l21 - w.l33 + 1) / den * sig(irow, moves["-11-21"])
-                - (w.l32 - l22 + 1) * (l22 - w.l33) / den * sig(irow, moves["-11-22"])
-            )
-            total -= h_eigenvalue(rp) * sigma.get(irow, jcol)
-            if total != 0:
-                entries[(irow, jcol)] = total
-    return PatternMatrix(basis, entries, sigma.exact)
+    # lattice coordinates: x21 = l21 - l33, x22 = l22 - l33, x11 = l11 - l33,
+    # a = l31 - l33, b = l32 - l33; shifts are (d11, d21, d22)
+    for col, (p, (x21, x22, x11, a, b)) in enumerate(zip(basis, basis.lattice)):
+        den = x21 - x22 + 1
+        groups = (
+            ((0, 0, 0), c11 * p.l11 + c22 * (p.l21 + p.l22 - p.l11)
+             - c33 * (p.l21 + p.l22)),
+            ((1, 0, 0), c12 * (x21 - x11) * (x11 - x22 + 1)),
+            ((-1, 0, 0), c21),
+            ((0, 1, 0), c23 * rational(a - x21, den)),
+            ((0, 0, 1), c23 * rational(a - x22 + 1, den)),
+            ((0, -1, 0), c32 * rational((x21 - b) * (x21 + 1) * (x21 - x11), den)),
+            ((0, 0, -1), c32 * rational((x11 - x22 + 1) * (b - x22 + 1) * x22, den)),
+            ((1, 1, 0), c13 * rational((x11 - x22 + 1) * (a - x21), den)),
+            ((1, 0, 1), -c13 * rational((x21 - x11) * (a - x22 + 1), den)),
+            ((-1, -1, 0), c31 * rational((x21 - b) * (x21 + 1), den)),
+            ((-1, 0, -1), -c31 * rational((b - x22 + 1) * x22, den)),
+        )
+        for (d11, d21, d22), coeff in groups:
+            row = index.get((x21 + d21, x22 + d22, x11 + d11))
+            if coeff and row is not None:
+                entries[(row, col)] = coeff
+    x = PatternMatrix._nonzero(basis, entries)
+    h = PatternMatrix.diagonal(basis, [h_eigenvalue(p) for p in basis])
+    return exact_combination([(1, (sigma, x)), (-1, (h, sigma))])

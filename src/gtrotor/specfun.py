@@ -183,14 +183,12 @@ def racah_sum_exact(n: int, x, a, b, c, d):
 
 def racah_tilde_raw(n, x, alpha, beta, gamma, delta):
     """Shifted Racah value with only the negative-index convention applied;
-    exact input only."""
+    exact input only, passed to the cached sum as it is (ints and equal
+    rationals share its cache entries)."""
     _require_exact(x, alpha, beta, gamma, delta)
     if n < 0 or x < 0:
         return ZERO
-    return racah_sum_exact(
-        as_int(n), rational(x), rational(alpha), rational(beta),
-        rational(gamma), rational(delta),
-    )
+    return racah_sum_exact(as_int(n), x, alpha, beta, gamma, delta)
 
 
 def racah_tilde(n, x, params: RacahParams):
@@ -322,7 +320,7 @@ def racah_pattern_recurrence_residuals(p: GTPattern):
 
 def _wilson_residual(n, x, params: RacahParams):
     a, b, c, d = params.alpha, params.beta, params.gamma, params.delta
-    r = lambda nn, xx, cc: racah_tilde_raw(nn, rational(xx), a, b, cc, d)
+    r = lambda nn, xx, cc: racah_tilde_raw(nn, xx, a, b, cc, d)
     lhs = (2 * x + c + d + 1) * (n + c) * (n - c + a + b + 1) * r(n, x, c)
     rhs = c * (
         (x + a + 1) * (x + b + d + 1) * r(n, x + 1, c - 1)
@@ -334,12 +332,12 @@ def _wilson_residual(n, x, params: RacahParams):
 def _four_term_residual(n, x, params: RacahParams):
     a, b, c, d = params.alpha, params.beta, params.gamma, params.delta
     lhs = (2 * x + c + d + 1) * (
-        n * racah_tilde_raw(n - 1, rational(x), a, b, c, d)
-        + (n + a + b) * racah_tilde_raw(n, rational(x), a, b, c, d)
+        n * racah_tilde_raw(n - 1, x, a, b, c, d)
+        + (n + a + b) * racah_tilde_raw(n, x, a, b, c, d)
     )
     rhs = (2 * n + a + b) * (
-        x * racah_tilde_raw(n, rational(x - 1), a, b - 1, c, d + 1)
-        + (x + c + d + 1) * racah_tilde_raw(n, rational(x), a, b - 1, c, d + 1)
+        x * racah_tilde_raw(n, x - 1, a, b - 1, c, d + 1)
+        + (x + c + d + 1) * racah_tilde_raw(n, x, a, b - 1, c, d + 1)
     )
     return lhs - rhs
 

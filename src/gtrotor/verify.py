@@ -2,7 +2,8 @@
 
 Each suite returns a Report with one entry per check; suites accept the
 height cap l31 - l33 <= max_height, up to the suite's entry in HEIGHT_CAPS
-(a greater height raises ValueError).  Weight-level work parallelizes across
+(a greater height raises ValueError), and default to their acceptance
+height in ACCEPTANCE_HEIGHTS.  Weight-level work parallelizes across
 processes, capped by the GTROTOR_THREADS environment variable.
 """
 
@@ -48,6 +49,11 @@ KRAWTCHOUK_PS = (rational(1, 4), rational(1, 2), rational(9, 25))
 # sized for (the rotations suite's float oracle check among them).
 HEIGHT_CAPS = {"polys": 5, "rotations": 5, "bispectral": 4}
 
+# The height each suite runs at unless one is given: the acceptance sizes.
+ACCEPTANCE_HEIGHTS = {
+    "rep": 6, "polys": 5, "rotations": 5, "bispectral": 4, "racah-algebra": 6,
+}
+
 
 def check_height(suite: str, max_height: int) -> None:
     cap = HEIGHT_CAPS.get(suite)
@@ -92,7 +98,9 @@ def _rep_weight(weight) -> Report:
     return report
 
 
-def suite_rep(max_height: int = 6, threads: int = 1) -> Report:
+def suite_rep(
+    max_height: int = ACCEPTANCE_HEIGHTS["rep"], threads: int = 1
+) -> Report:
     reports = _pmap(_rep_weight, weights_up_to_height(max_height), threads)
     out = _merge("rep", reports)
     # the dimension oracle is cheap; always push it to height 8
@@ -168,7 +176,9 @@ def _polys_weight(weight) -> Report:
     return report
 
 
-def suite_polys(max_height: int = 5, threads: int = 1) -> Report:
+def suite_polys(
+    max_height: int = ACCEPTANCE_HEIGHTS["polys"], threads: int = 1
+) -> Report:
     check_height("polys", max_height)
     reports = [_polys_krawtchouk()]
     reports += _pmap(_polys_weight, weights_up_to_height(max_height), threads)
@@ -263,7 +273,9 @@ def _rotations_weight(weight) -> Report:
     return report
 
 
-def suite_rotations(max_height: int = 5, threads: int = 1) -> Report:
+def suite_rotations(
+    max_height: int = ACCEPTANCE_HEIGHTS["rotations"], threads: int = 1
+) -> Report:
     check_height("rotations", max_height)
     reports = _pmap(_rotations_weight, weights_up_to_height(max_height), threads)
     return _merge("rotations", reports)
@@ -291,7 +303,9 @@ def _bispectral_weight(weight) -> Report:
     return report
 
 
-def suite_bispectral(max_height: int = 4, threads: int = 1) -> Report:
+def suite_bispectral(
+    max_height: int = ACCEPTANCE_HEIGHTS["bispectral"], threads: int = 1
+) -> Report:
     check_height("bispectral", max_height)
     reports = _pmap(_bispectral_weight, weights_up_to_height(max_height), threads)
     return _merge("bispectral", reports)
@@ -317,7 +331,9 @@ def _racah_weight(weight) -> Report:
     return report
 
 
-def suite_racah_algebra(max_height: int = 6, threads: int = 1) -> Report:
+def suite_racah_algebra(
+    max_height: int = ACCEPTANCE_HEIGHTS["racah-algebra"], threads: int = 1
+) -> Report:
     reports = _pmap(_racah_weight, weights_up_to_height(max_height), threads)
     return _merge("racah-algebra", reports)
 
@@ -349,18 +365,30 @@ SUITES = {
 }
 
 
-def run_suites(names, max_height: int, threads: int = None) -> list:
-    threads = thread_count() if threads is None else threads
+def suite_heights(names, max_height: int = None) -> dict:
+    """{suite: height} for the requested suites, in run order: max_height
+    for every suite, or each suite's acceptance height when it is None
+    (None for hilbert, which runs by degree).  Every height is checked
+    against the caps before anything runs."""
     if "all" in names:
         names = list(SUITES)
+    heights = {}
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        check_height(name, max_height)
+        height = ACCEPTANCE_HEIGHTS.get(name) if max_height is None else max_height
+        check_height(name, height)
+        heights[name] = height
+    return heights
+
+
+def run_suites(heights: dict, threads: int = None) -> list:
+    """Reports of the suites in heights (from suite_heights), in its order."""
+    threads = thread_count() if threads is None else threads
     out = []
-    for name in names:
+    for name, height in heights.items():
         if name == "hilbert":
             out.append(suite_hilbert(20, threads))
         else:
-            out.append(SUITES[name](max_height, threads))
+            out.append(SUITES[name](height, threads))
     return out

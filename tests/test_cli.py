@@ -219,6 +219,37 @@ def test_verify_height_above_a_suite_cap_is_refused(capsys, monkeypatch):
         assert err.startswith("error:") and f"capped at height {cap}" in err
 
 
+def test_verify_all_defaults_to_acceptance_heights(capsys, monkeypatch):
+    """Without --max-height each suite runs at its acceptance height and its
+    summary line names it; a given height is not repeated there."""
+    import gtrotor.verify as verify
+    from gtrotor.reporting import Report
+
+    ran = {}
+
+    def fake(name):
+        def run(max_height, threads):
+            ran[name] = max_height
+            report = Report(name)
+            report.add("stub", None, True)
+            return report
+
+        return run
+
+    for name in verify.ACCEPTANCE_HEIGHTS:
+        monkeypatch.setitem(verify.SUITES, name, fake(name))
+    code, out, _ = run_capture(capsys, ["verify", "--suite", "all"])
+    assert code == 0
+    assert ran == verify.ACCEPTANCE_HEIGHTS
+    for name, height in verify.ACCEPTANCE_HEIGHTS.items():
+        assert f"suite {name} up to height {height}: 1 checks, PASS" in out
+    assert "suite hilbert: " in out
+
+    code, out, _ = run_capture(capsys, ["verify", "--suite", "rep", "--max-height", "3"])
+    assert code == 0 and ran["rep"] == 3
+    assert out.splitlines()[-1] == "suite rep: 1 checks, PASS"
+
+
 def test_sigma_float_angles_refused_above_height_cap(capsys):
     import time
 

@@ -7,7 +7,7 @@ import pytest
 
 from gtrotor import numerics
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns
-from gtrotor.linalg import PatternMatrix, exact_product, norm_vector
+from gtrotor.linalg import PatternMatrix, exact_combination, exact_product, norm_vector
 from gtrotor.numerics import Exact, rational
 
 
@@ -142,6 +142,84 @@ def test_exact_product_rejects_bad_input(adjoint, dim27):
         exact_product(m, PatternMatrix.identity(dim27))
     with pytest.raises(TypeError):
         exact_product(m, m.to_float())
+
+
+def reference_combination(terms):
+    """Sum of c * reference_product(*factors), folded in Fractions."""
+    acc = {}
+    for c, factors in terms:
+        for key, v in reference_product(*factors).items():
+            acc[key] = acc.get(key, 0) + frac(c) * v
+    return {key: v for key, v in acc.items() if v != 0}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_combination_matches_reference_fold(adjoint, dim27, seed):
+    """1-5 terms of 1-3 factors, fractional and zero coefficients, with the
+    same factor objects drawn again across terms."""
+    rng = random.Random(100 + seed)
+    for basis in (adjoint, dim27):
+        pool = [
+            random_matrix(rng, basis, rng.choice((0.05, 0.2, 0.6)))
+            for _ in range(3)
+        ]
+        terms = [
+            (
+                rational(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))),
+                tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
+            )
+            for _ in range(rng.randint(1, 5))
+        ]
+        terms.append((0, (pool[0],)))
+        got = exact_combination(terms)
+        assert got.exact
+        assert all(isinstance(v, Exact) and v != 0 for v in got.entries.values())
+        assert {k: frac(v) for k, v in got.entries.items()} == reference_combination(
+            terms
+        )
+
+
+def test_exact_combination_cancels_to_no_entry(adjoint):
+    rng = random.Random(21)
+    a, b = random_matrix(rng, adjoint, 0.4), random_matrix(rng, adjoint, 0.4)
+    ab = exact_product(a, b)
+    assert exact_combination([(rational(1, 3), (a, b)), (rational(-1, 3), (ab,))]).entries == {}
+    # a partial cancellation keeps only the entries that survive
+    c = PatternMatrix(adjoint, {(0, 0): rational(1, 2), (1, 1): rational(2, 3)})
+    d = PatternMatrix(adjoint, {(0, 0): rational(1, 2)})
+    assert exact_combination([(1, (c,)), (-1, (d,))]).entries == {(1, 1): rational(2, 3)}
+
+
+def test_exact_combination_single_term_is_exact_product(adjoint, dim27):
+    rng = random.Random(23)
+    for basis in (adjoint, dim27):
+        factors = [random_matrix(rng, basis, 0.3) for _ in range(3)]
+        for count in (1, 2, 3):
+            assert exact_combination([(1, factors[:count])]) == exact_product(
+                *factors[:count]
+            )
+
+
+def test_exact_combination_empty_sum_is_zero(adjoint):
+    m = PatternMatrix.identity(adjoint)
+    assert exact_combination([], adjoint) == PatternMatrix.zeros(adjoint)
+    assert exact_combination([(0, (m,))], adjoint).is_zero()
+    with pytest.raises(ValueError):
+        exact_combination([])
+
+
+def test_exact_combination_rejects_bad_input(adjoint, dim27):
+    m = PatternMatrix.identity(adjoint)
+    with pytest.raises(TypeError):
+        exact_combination([(1, (m, m.to_float()))])
+    with pytest.raises(TypeError):
+        exact_combination([(0.5, (m,))])
+    with pytest.raises(ValueError):
+        exact_combination([(1, (m,)), (1, (PatternMatrix.identity(dim27),))])
+    with pytest.raises(ValueError):
+        exact_combination([(1, (m,))], dim27)
+    with pytest.raises(ValueError):
+        exact_combination([(1, ())], adjoint)
 
 
 def _mpq_backend():

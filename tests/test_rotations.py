@@ -29,6 +29,7 @@ from gtrotor.oracle import (
     rho_z_oracle,
     tau_sign_residual,
 )
+from gtrotor.linalg import PatternMatrix
 from gtrotor.rep import element_matrix, j_eigenvalue, y_eigenvalue
 from gtrotor.rotations import (
     EulerAngles,
@@ -558,6 +559,35 @@ def test_h_recurrence_explicit_term_by_term(adjoint):
     assert explicit.is_zero()
     mechanical = bispectral_residual("H", "Recurrence", angles, adjoint, sigma=sigma)
     assert explicit == mechanical
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [(2, 0, -2), (rational(4, 3), rational(1, 3), rational(-5, 3))],
+    ids=["2,0,-2", "4/3,1/3,-5/3"],
+)
+def test_h_recurrence_explicit_matches_mechanical_off_rotations(weight):
+    """On a matrix that is not a rotation both residuals are nonzero, and
+    they still agree entry by entry: the explicit coefficients are those of
+    Psi_S(H), not only some matrix that sigma happens to annihilate."""
+    basis = basis_of(*weight)
+    angles = EulerAngles(A35, A513, A35)
+    entries = dict(sigma_product(angles, basis).entries)
+    key = sorted(entries)[len(entries) // 2]
+    entries[key] += rational(1, 7)
+    perturbed = PatternMatrix(basis, entries)
+    explicit = h_recurrence_explicit_residual(angles, basis, sigma=perturbed)
+    mechanical = bispectral_residual("H", "Recurrence", angles, basis, sigma=perturbed)
+    assert not explicit.is_zero()
+    assert explicit == mechanical
+
+
+def test_bispectral_residuals_refuse_float_angles(adjoint):
+    angles = EulerAngles(Radians(0.3), A35, A35)
+    with pytest.raises(ValueError, match="exact angles 's:c'"):
+        bispectral_residual("H", "Recurrence", angles, adjoint)
+    with pytest.raises(ValueError, match="exact angles 's:c'"):
+        h_recurrence_explicit_residual(angles, adjoint)
 
 
 def test_recurrence_eigenvalue_forms(adjoint):
