@@ -1,8 +1,13 @@
-"""Sparse matrices over the exact/float scalar tower, indexed by GT patterns.
+"""Sparse matrices indexed by GT patterns: exact ones with one arithmetic
+path, float ones as containers.
 
 Entries live in a dict keyed by (row, col) basis indices; absent means zero
 and zeros are never stored, so dict equality is matrix equality.  A matrix is
-either fully exact or fully float; the two kinds never mix entries.
+either fully exact or fully float; the two kinds never mix entries.  Exact
+matrices combine only through the integer kernel: `@` (exact_product) and
+exact_combination for sums of scaled products.  Float matrices carry no
+arithmetic; float work is done in numpy (to_numpy, zeta_numpy) and brought
+back with from_numpy or from_zeta_numpy.
 """
 
 from __future__ import annotations
@@ -35,10 +40,6 @@ def norm_vector(basis: IrrepBasis) -> np.ndarray:
     )
 
 
-def _clean(entries):
-    return {k: v for k, v in entries.items() if v != 0}
-
-
 class PatternMatrix:
     """Square matrix on an IrrepBasis; immutable by convention after build."""
 
@@ -47,7 +48,7 @@ class PatternMatrix:
     def __init__(self, basis: IrrepBasis, entries=None, exact: bool = True):
         self.basis = basis
         self.exact = exact
-        self.entries = _clean(entries or {})
+        self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
         if exact and any(not is_exact(v) for v in self.entries.values()):
             raise TypeError("float entry in exact matrix")
 
@@ -60,17 +61,16 @@ class PatternMatrix:
         return m
 
     @classmethod
-    def zeros(cls, basis, exact=True):
-        return cls(basis, {}, exact)
+    def zeros(cls, basis):
+        return cls(basis, {})
 
     @classmethod
-    def identity(cls, basis, exact=True):
-        one = rational(1) if exact else 1.0
-        return cls(basis, {(i, i): one for i in range(basis.dim)}, exact)
+    def identity(cls, basis):
+        return cls(basis, {(i, i): rational(1) for i in range(basis.dim)})
 
     @classmethod
-    def diagonal(cls, basis, values, exact=True):
-        return cls(basis, {(i, i): v for i, v in enumerate(values)}, exact)
+    def diagonal(cls, basis, values):
+        return cls(basis, {(i, i): v for i, v in enumerate(values)})
 
     @classmethod
     def from_numpy(cls, basis, array):
@@ -83,10 +83,6 @@ class PatternMatrix:
 
     def get(self, i: int, j: int):
         return self.entries.get((i, j), rational(0) if self.exact else 0.0)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.basis.dim, self.basis.dim))
@@ -112,60 +108,15 @@ class PatternMatrix:
         d = norm_vector(basis)
         return cls.from_numpy(basis, np.asarray(array, dtype=float) * d[None, :] / d[:, None])
 
-    def to_float(self) -> "PatternMatrix":
-        if not self.exact:
-            return self
-        return PatternMatrix(
-            self.basis, {k: float(v) for k, v in self.entries.items()}, exact=False
-        )
-
-    def scaled(self, c) -> "PatternMatrix":
-        exact = self.exact and is_exact(c)
-        return PatternMatrix(
-            self.basis, {k: c * v for k, v in self.entries.items()}, exact
-        )
-
-    def __neg__(self):
-        return self.scaled(rational(-1) if self.exact else -1.0)
-
-    def _binary(self, other, op):
-        if self.basis.weight != other.basis.weight:
-            raise ValueError("matrices live on different bases")
-        exact = self.exact and other.exact
-        a, b = self, other
-        if not exact:
-            a, b = self.to_float(), other.to_float()
-        out = dict(a.entries)
-        for k, v in b.entries.items():
-            out[k] = op(out.get(k, 0), v)
-        return PatternMatrix(self.basis, out, exact)
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
-
     def __matmul__(self, other) -> "PatternMatrix":
-        if self.basis.weight != other.basis.weight:
-            raise ValueError("matrices live on different bases")
-        if not (self.exact and other.exact):
-            return PatternMatrix.from_numpy(
-                self.basis, self.to_numpy() @ other.to_numpy()
-            )
+        """Exact product (exact_product); TypeError on a float operand."""
         return exact_product(self, other)
-
-    def commutator(self, other) -> "PatternMatrix":
-        return exact_combination([(1, (self, other)), (-1, (other, self))])
-
-    def anticommutator(self, other) -> "PatternMatrix":
-        return exact_combination([(1, (self, other)), (1, (other, self))])
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def is_identity(self) -> bool:
-        return self == PatternMatrix.identity(self.basis, self.exact)
+        return self == PatternMatrix.identity(self.basis)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,12 +138,9 @@ class PatternMatrix:
             default=0.0,
         )
 
-    def items(self):
-        return self.entries.items()
-
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "float"
-        return f"PatternMatrix({self.basis.weight}, {kind}, nnz={self.nnz})"
+        return f"PatternMatrix({self.basis.weight}, {kind}, nnz={len(self.entries)})"
 
 
 def _integer_rows(m: PatternMatrix):
@@ -319,15 +267,17 @@ def exact_combination(terms, basis: IrrepBasis = None) -> PatternMatrix:
 def adjoint(m: PatternMatrix) -> PatternMatrix:
     """diag(N^2)^-1 m^T diag(N^2): the transpose of m in the orthonormal
     basis, carried back to the unnormalized one.  Entry (j, i) is
-    N_i^2 / N_j^2 * m[i, j], of the same kind as m.  An orthogonal
-    operator's adjoint is its inverse."""
+    N_i^2 / N_j^2 * m[i, j].  Exact matrices only (TypeError on a float
+    one).  An orthogonal operator's adjoint is its inverse."""
+    if not m.exact:
+        raise TypeError("adjoint needs an exact matrix")
     nsq = m.basis.norms_sq()
     entries = {(j, i): nsq[i] / nsq[j] * v for (i, j), v in m.entries.items()}
-    if not m.exact:
-        entries = {k: float(v) for k, v in entries.items()}
-    return PatternMatrix(m.basis, entries, m.exact)
+    return PatternMatrix._nonzero(m.basis, entries)
 
 
 def orthogonality_defect(m: PatternMatrix) -> PatternMatrix:
     """adjoint(m) m - 1; zero iff m is orthogonal in the orthonormal basis."""
-    return adjoint(m) @ m - PatternMatrix.identity(m.basis, m.exact)
+    return exact_combination(
+        [(1, (adjoint(m), m)), (-1, (PatternMatrix.identity(m.basis),))]
+    )

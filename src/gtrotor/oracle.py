@@ -63,11 +63,13 @@ def exp_matrix(m: PatternMatrix, scale: float = 1.0) -> PatternMatrix:
 
 
 def _lz(basis: IrrepBasis) -> np.ndarray:
-    return (generator_matrix("e12", basis) - generator_matrix("e21", basis)).zeta_numpy()
+    g = lambda n: generator_matrix(n, basis).zeta_numpy()
+    return g("e12") - g("e21")
 
 
 def _lt(basis: IrrepBasis) -> np.ndarray:
-    return (generator_matrix("e23", basis) - generator_matrix("e32", basis)).zeta_numpy()
+    g = lambda n: generator_matrix(n, basis).zeta_numpy()
+    return g("e23") - g("e32")
 
 
 def _tau_zeta(basis: IrrepBasis) -> np.ndarray:

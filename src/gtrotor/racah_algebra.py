@@ -1,18 +1,27 @@
 """Realization of the Racah algebra inside the represented U(sl3).
 
 J and Jbar are the Casimir elements of the two sl2 embeddings exchanged by
-the rotation T; K is their commutator.  Every identity is checked per irrep
-as an exact matrix identity; the centralizer story is completed by the
-Hilbert-Poincare series, computed once from the closed rational function and
-once by counting the spanning monomials.
+the rotation T; K is their commutator.  Each of the paper's identities (the
+two Racah relations, the closed form of the central element gamma and the
+five rewritings of the centralizer's quadratic and cubic generators) is an
+entry of IDENTITIES: a sum of products of the assembled generator, J, Jbar
+and K matrices that must equal a diagonal matrix.  That diagonal, like the
+central elements a and b+- of CENTRAL, is a rational polynomial evaluated
+per pattern on the Cartan data (the diagonals of the assembled h, y, H1,
+H2, C2 and C3 matrices).
+Every identity is checked per irrep as one exact combination.  The
+centralizer story is completed by the Hilbert-Poincare series, computed once
+from the closed rational function and once by counting the spanning
+monomials.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .gt_basis import IrrepBasis, shift
-from .linalg import PatternMatrix, exact_product
-from .numerics import rational
-from .rep import element_matrix, generator_matrix, sl2_casimir
+from .linalg import PatternMatrix, exact_combination
+from .rep import element_matrix, generator_matrix, linear_element, sl2_casimir
 from .reporting import Report
 from .rotations import tau, tau_inverse
 from .specfun import racah_recurrence_coefficients
@@ -23,7 +32,8 @@ def jbar_matrix(basis: IrrepBasis) -> PatternMatrix:
 
     def build():
         g = lambda n: generator_matrix(n, basis)
-        return sl2_casimir(g("e11") - g("e33"), g("e31"), g("e13"))
+        d = linear_element({"e11": 1, "e33": -1}, basis)
+        return sl2_casimir(d, g("e31"), g("e13"))
 
     return basis.memo(("jbar",), build)
 
@@ -32,185 +42,194 @@ def jbar_conjugation_residual(basis: IrrepBasis) -> PatternMatrix:
     """tau^-1 J tau - Jbar, zero by the definition of tau as the transition
     between the two embeddings; the global sign of tau drops out, so no
     oracle is involved."""
-    conj = exact_product(tau_inverse(basis), element_matrix("J", basis), tau(basis))
-    return conj - jbar_matrix(basis)
-
-
-def k_matrix(basis: IrrepBasis) -> PatternMatrix:
-    """K = [J, Jbar]; centralizer_identity_residuals checks it against the
-    cubic e31 e12 e23 - e32 e21 e13."""
-    return basis.memo(
-        ("kmat",),
-        lambda: element_matrix("J", basis).commutator(jbar_matrix(basis)),
+    return exact_combination(
+        [
+            (1, (tau_inverse(basis), element_matrix("J", basis), tau(basis))),
+            (-1, (jbar_matrix(basis),)),
+        ]
     )
 
 
-def central_data(basis: IrrepBasis):
-    """Diagonal matrices (a, b+, b-) entering the Racah relations.
-
-    b+- factor through (3y -+ h); writing u = y +- h, the bracket is
-    (2 - u) C2/4 - C3/3 + u(u-2)(u+2)/8.  These are pinned by the relations
-    themselves (b+ = [J,K] - 2J^2 - 2{J,Jbar} + aJ must be an identity) and
-    were cross-fitted exactly over many irreps."""
+def k_matrix(basis: IrrepBasis) -> PatternMatrix:
+    """K = [J, Jbar]; the centralizer[K_difference] identity checks it
+    against the cubic e31 e12 e23 - e32 e21 e13."""
 
     def build():
-        h = element_matrix("h", basis)
-        y = element_matrix("y", basis)
-        c2 = element_matrix("C2", basis)
-        c3 = element_matrix("C3", basis)
-        ident = PatternMatrix.identity(basis)
-        two = ident.scaled(rational(2))
-        a = h @ h + (y @ y).scaled(rational(3)) + c2
+        j, jb = element_matrix("J", basis), jbar_matrix(basis)
+        return exact_combination([(1, (j, jb)), (-1, (jb, j))])
 
-        def b(sign: int):
-            s = rational(sign)
-            first = y.scaled(rational(3)) - h.scaled(s)
-            u = y + h.scaled(s)
-            inner = (
-                ((two - u) @ c2).scaled(rational(1, 4))
-                - c3.scaled(rational(1, 3))
-                + (u @ (u - two) @ (u + two)).scaled(rational(1, 8))
-            )
-            return first @ inner
+    return basis.memo(("kmat",), build)
 
-        return a, b(1), b(-1)
 
-    return basis.memo(("central_data",), build)
+# --------------------------------------------------------------------------
+# closed forms per pattern, and the identities they close
+
+
+CartanData = namedtuple("CartanData", "h y h1 h2 c2 c3")
+
+
+def cartan_data(basis: IrrepBasis) -> list:
+    """CartanData of every pattern, read off the diagonals of the assembled
+    h, y, H1, H2, C2 and C3 matrices; ValueError if one of them has an
+    off-diagonal entry."""
+
+    def build():
+        diagonals = []
+        for name in ("h", "y", "H1", "H2", "C2", "C3"):
+            m = element_matrix(name, basis)
+            if any(i != j for i, j in m.entries):
+                raise ValueError(f"{name} is not diagonal on {basis.weight}")
+            diagonals.append([m.get(i, i) for i in range(basis.dim)])
+        return [CartanData(*values) for values in zip(*diagonals)]
+
+    return basis.memo(("cartan_data",), build)
+
+
+def _b(d: CartanData, sign: int):
+    """b+ (sign 1) or b- (sign -1): with u = y +- h, (3y -+ h) times
+    (2 - u) C2/4 - C3/3 + u(u - 2)(u + 2)/8."""
+    u = d.y + sign * d.h
+    return (3 * d.y - sign * d.h) * (
+        (2 - u) * d.c2 / 4 - d.c3 / 3 + u * (u - 2) * (u + 2) / 8
+    )
+
+
+def _gamma(d: CartanData):
+    h2, y2 = d.h * d.h, d.y * d.y
+    q = d.c3 / 3 + 2 * d.y + d.y * d.c2
+    return (
+        (y2 + h2) ** 2 * (1 - d.c2) / 2
+        - (h2 - y2) ** 3 / 8
+        + 2 * h2 * y2
+        - q * (q - d.c2)
+        - d.y * (3 * h2 - 11 * y2) * (3 * d.c2 - 2 * d.c3) / 6
+        + d.c2 * (h2 + 3 * y2) * (5 * h2 - y2 + 4) / 8
+    )
+
+
+def _symmetric_cubic(d: CartanData):
+    h1, h2 = d.h1, d.h2
+    return (
+        d.c3 / 3
+        + d.c2 * (2 * h1 + h2) / 3
+        + 2 * (h2 + 2 * h1) * (11 * h1 * h1 + 11 * h1 * h2 - 4 * h2 * h2) / 27
+        - 2 * (2 * h1 * h2 - h1 * h1 + 2 * h2 * h2 + 2 * h2 + h1) / 3
+    )
+
+
+# The central elements a, b+ and b- of the Racah relations, per pattern.
+CENTRAL = {
+    "a": lambda d: d.h * d.h + 3 * d.y * d.y + d.c2,
+    "b+": lambda d: _b(d, 1),
+    "b-": lambda d: _b(d, -1),
+}
+
+# check name -> (terms, closed form): the sum of coefficient * product of the
+# named factors equals the diagonal matrix of the closed form, a rational
+# polynomial of one pattern's CartanData (zero where it is None).  A factor
+# is an element matrix, Jbar, K, or a central element of CENTRAL.
+IDENTITIES = {
+    # [J, K] = 2 J^2 + 2 {J, Jbar} - a J + b+
+    "racah_relation_JK": ([
+        (1, "J K"), (-1, "K J"), (-2, "J J"), (-2, "J Jbar"), (-2, "Jbar J"),
+        (1, "a J"), (-1, "b+"),
+    ], None),
+    # [K, Jbar] = 2 Jbar^2 + 2 {J, Jbar} - a Jbar + b-
+    "racah_relation_KJbar": ([
+        (1, "K Jbar"), (-1, "Jbar K"), (-2, "Jbar Jbar"), (-2, "J Jbar"),
+        (-2, "Jbar J"), (1, "a Jbar"), (-1, "b-"),
+    ], None),
+    # gamma = 2 {J^2, Jbar} + 2 {J, Jbar^2} - K^2 - 4 (J + Jbar)^2
+    #         - a {J, Jbar} + 2 (b- + a) J + 2 (b+ + a) Jbar
+    "gamma_closed_form": ([
+        (2, "J J Jbar"), (2, "Jbar J J"), (2, "J Jbar Jbar"), (2, "Jbar Jbar J"),
+        (-1, "K K"), (-4, "J J"), (-4, "J Jbar"), (-4, "Jbar J"),
+        (-4, "Jbar Jbar"), (-1, "a J Jbar"), (-1, "a Jbar J"), (2, "b- J"),
+        (2, "a J"), (2, "b+ Jbar"), (2, "a Jbar"),
+    ], _gamma),
+    "centralizer[e21e12]": (
+        [(1, "e21 e12"), (-1, "J")], lambda d: -d.h1 * (d.h1 + 1)
+    ),
+    "centralizer[e31e13]": (
+        [(1, "e31 e13"), (-1, "Jbar")], lambda d: -(d.h1 + d.h2) * (d.h1 + d.h2 + 1)
+    ),
+    "centralizer[e32e23]": ([(1, "e32 e23"), (1, "J"), (1, "Jbar")], lambda d: (
+        d.c2 / 2 - d.h2 + (2 * d.h1 * d.h2 + 2 * d.h1 * d.h1 - d.h2 * d.h2) / 3
+    )),
+    "centralizer[K_difference]": (
+        [(1, "e31 e12 e23"), (-1, "e32 e21 e13"), (-1, "K")], None
+    ),
+    # e31 e12 e23 + e32 e21 e13 = -2 J (h1 + h2 + 1) - 2 Jbar h1 + cubic
+    "centralizer[symmetric_cubic]": ([
+        (1, "e31 e12 e23"), (1, "e32 e21 e13"), (2, "J H1"), (2, "J H2"),
+        (2, "J"), (2, "Jbar H1"),
+    ], _symmetric_cubic),
+}
+
+
+def _per_pattern(poly, basis: IrrepBasis) -> PatternMatrix:
+    return PatternMatrix.diagonal(basis, [poly(d) for d in cartan_data(basis)])
+
+
+def central_data(basis: IrrepBasis):
+    """Diagonal matrices (a, b+, b-): CENTRAL evaluated per pattern on the
+    Cartan data of the assembled element matrices.  The identities
+    racah_relation_JK and racah_relation_KJbar pin them; a changed
+    coefficient in either fails its check."""
+    return basis.memo(
+        ("central_data",),
+        lambda: tuple(_per_pattern(poly, basis) for poly in CENTRAL.values()),
+    )
+
+
+def _factor(name: str, basis: IrrepBasis) -> PatternMatrix:
+    if name in CENTRAL:
+        return central_data(basis)[list(CENTRAL).index(name)]
+    special = {"Jbar": jbar_matrix, "K": k_matrix}.get(name)
+    return special(basis) if special else element_matrix(name, basis)
+
+
+def identity_residual(name: str, basis: IrrepBasis) -> PatternMatrix:
+    """Sum of the terms of IDENTITIES[name] minus the diagonal of its
+    closed form, as one exact combination."""
+    terms, closed = IDENTITIES[name]
+    combo = [
+        (c, tuple(_factor(f, basis) for f in word.split())) for c, word in terms
+    ]
+    if closed is not None:
+        combo.append((-1, (_per_pattern(closed, basis),)))
+    return exact_combination(combo)
+
+
+def _identities_report(title: str, names, basis: IrrepBasis) -> Report:
+    report = Report(title)
+    for name in names:
+        resid = identity_residual(name, basis)
+        report.add(name, str(basis.weight), resid.is_zero(), resid.max_abs())
+    return report
 
 
 def racah_relations_residual(basis: IrrepBasis) -> Report:
     """Exact residuals of the two cubic relations of the Racah algebra."""
-    report = Report("racah-relations")
-    wname = str(basis.weight)
-    j = element_matrix("J", basis)
-    jb = jbar_matrix(basis)
-    k = k_matrix(basis)
-    a, bp, bm = central_data(basis)
-    cross = j.anticommutator(jb).scaled(rational(2))
-
-    r1 = j.commutator(k) - ((j @ j).scaled(rational(2)) + cross - a @ j + bp)
-    report.add("racah_relation_JK", wname, r1.is_zero(), r1.max_abs())
-
-    r2 = k.commutator(jb) - ((jb @ jb).scaled(rational(2)) + cross - a @ jb + bm)
-    report.add("racah_relation_KJbar", wname, r2.is_zero(), r2.max_abs())
-    return report
+    return _identities_report(
+        "racah-relations", ("racah_relation_JK", "racah_relation_KJbar"), basis
+    )
 
 
 def gamma_residual(basis: IrrepBasis) -> Report:
-    """Central element of the Racah algebra minus its closed form in the
-    Cartan data and Casimirs; the closed form is the tested hypothesis and
-    the assembled matrix is ground truth."""
-    report = Report("gamma")
-    wname = str(basis.weight)
-    j = element_matrix("J", basis)
-    jb = jbar_matrix(basis)
-    k = k_matrix(basis)
-    a, bp, bm = central_data(basis)
-    ident = PatternMatrix.identity(basis)
-
-    s = j + jb
-    gamma = (
-        (j @ j).anticommutator(jb).scaled(rational(2))
-        + j.anticommutator(jb @ jb).scaled(rational(2))
-        - k @ k
-        - (s @ s).scaled(rational(4))
-        - a @ j.anticommutator(jb)
-        + (bm + a) @ j.scaled(rational(2))
-        + (bp + a) @ jb.scaled(rational(2))
-    )
-
-    h = element_matrix("h", basis)
-    y = element_matrix("y", basis)
-    c2 = element_matrix("C2", basis)
-    c3 = element_matrix("C3", basis)
-    h2, y2 = h @ h, y @ y
-    q = c3.scaled(rational(1, 3)) + y.scaled(rational(2)) + y @ c2
-    closed = (
-        ((y2 + h2) @ (y2 + h2) @ (ident - c2)).scaled(rational(1, 2))
-        - ((h2 - y2) @ (h2 - y2) @ (h2 - y2)).scaled(rational(1, 8))
-        + (h2 @ y2).scaled(rational(2))
-        - q @ (q - c2)
-        - (y @ (h2.scaled(rational(3)) - y2.scaled(rational(11)))
-           @ (c2.scaled(rational(3)) - c3.scaled(rational(2)))).scaled(rational(1, 6))
-        + (c2 @ (h2 + y2.scaled(rational(3)))
-           @ (h2.scaled(rational(5)) - y2 + ident.scaled(rational(4)))).scaled(
-            rational(1, 8)
-        )
-    )
-    resid = gamma - closed
-    report.add("gamma_closed_form", wname, resid.is_zero(), resid.max_abs())
-    return report
+    """The central element gamma of the Racah algebra, assembled from J,
+    Jbar and K, minus its closed form in the Cartan data and Casimirs."""
+    return _identities_report("gamma", ("gamma_closed_form",), basis)
 
 
 def centralizer_identity_residuals(basis: IrrepBasis) -> Report:
     """The five rewriting identities expressing the quadratic/cubic
     centralizer generators through J, Jbar, K, H1, H2, C2, C3."""
-    report = Report("centralizer-identities")
-    wname = str(basis.weight)
-    g = lambda n: generator_matrix(n, basis)
-    j = element_matrix("J", basis)
-    jb = jbar_matrix(basis)
-    k = k_matrix(basis)
-    h1 = element_matrix("H1", basis)
-    h2 = element_matrix("H2", basis)
-    c2 = element_matrix("C2", basis)
-    c3 = element_matrix("C3", basis)
-    ident = PatternMatrix.identity(basis)
-    h12 = h1 + h2
-
-    checks = []
-    checks.append(("e21e12", g("e21") @ g("e12") - (j - h1 @ (h1 + ident))))
-    checks.append(("e31e13", g("e31") @ g("e13") - (jb - h12 @ (h12 + ident))))
-    checks.append(
-        (
-            "e32e23",
-            g("e32") @ g("e23")
-            - (
-                c2.scaled(rational(1, 2))
-                - j
-                - jb
-                - h2
-                + (
-                    (h1 @ h2).scaled(rational(2))
-                    + (h1 @ h1).scaled(rational(2))
-                    - h2 @ h2
-                ).scaled(rational(1, 3))
-            ),
-        )
+    return _identities_report(
+        "centralizer-identities",
+        [n for n in IDENTITIES if n.startswith("centralizer[")],
+        basis,
     )
-    checks.append(
-        ("K_difference", g("e31") @ g("e12") @ g("e23") - g("e32") @ g("e21") @ g("e13") - k)
-    )
-    sym_sum = (
-        c3.scaled(rational(1, 3))
-        - (j @ (h12 + ident)).scaled(rational(2))
-        - (jb @ h1).scaled(rational(2))
-        + (c2 @ (h1.scaled(rational(2)) + h2)).scaled(rational(1, 3))
-        + (
-            (h2 + h1.scaled(rational(2)))
-            @ (
-                (h1 @ h1).scaled(rational(11))
-                + (h1 @ h2).scaled(rational(11))
-                - (h2 @ h2).scaled(rational(4))
-            )
-        ).scaled(rational(2, 27))
-        - (
-            (h1 @ h2).scaled(rational(2))
-            - h1 @ h1
-            + (h2 @ h2).scaled(rational(2))
-            + h2.scaled(rational(2))
-            + h1
-        ).scaled(rational(2, 3))
-    )
-    checks.append(
-        (
-            "symmetric_cubic",
-            g("e31") @ g("e12") @ g("e23") + g("e32") @ g("e21") @ g("e13") - sym_sum,
-        )
-    )
-    for name, resid in checks:
-        report.add(f"centralizer[{name}]", wname, resid.is_zero(), resid.max_abs())
-    return report
 
 
 def commutes_with_cartan_report(basis: IrrepBasis) -> Report:
@@ -224,7 +243,7 @@ def commutes_with_cartan_report(basis: IrrepBasis) -> Report:
         ("K", k_matrix(basis)),
     ):
         for hname, h in (("H1", h1), ("H2", h2)):
-            resid = m.commutator(h)
+            resid = exact_combination([(1, (m, h)), (-1, (h, m))])
             report.add(f"[{name},{hname}]", wname, resid.is_zero(), resid.max_abs())
     return report
 
@@ -236,6 +255,9 @@ def jbar_tridiagonal_report(basis: IrrepBasis) -> Report:
     report = Report("jbar-tridiagonal")
     wname = str(basis.weight)
     jb = jbar_matrix(basis)
+    rows_of = {}
+    for i, j in jb.entries:
+        rows_of.setdefault(j, []).append(i)
     for j, p in enumerate(basis):
         if p.l21 == p.l22:
             continue
@@ -254,8 +276,7 @@ def jbar_tridiagonal_report(basis: IrrepBasis) -> Report:
             )
         diag_only_outside = all(
             (p.l11 == q.l11 and p.l21 + p.l22 == q.l21 + q.l22)
-            for i, q in enumerate(basis)
-            if jb.get(i, j) != 0
+            for q in (basis.patterns[i] for i in rows_of.get(j, ()))
         )
         report.add(f"block_structure[{p}]", wname, diag_only_outside)
     return report

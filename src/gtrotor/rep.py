@@ -125,6 +125,24 @@ def sl2_casimir(d: PatternMatrix, lower: PatternMatrix, upper: PatternMatrix):
     )
 
 
+# The named elements linear in the generators, as {generator: coefficient}.
+LINEAR_ELEMENTS = {
+    "Y": {"e11": rational(1, 3), "e22": rational(1, 3), "e33": rational(-2, 3)},
+    "H": {"e11": 1, "e22": -1},
+    "H1": {"e11": rational(1, 2), "e22": rational(-1, 2)},
+    "H2": {"e22": rational(1, 2), "e33": rational(-1, 2)},
+    "h": {"e22": rational(1, 2), "e33": rational(-1, 2)},
+    "y": {"e11": rational(1, 3), "e22": rational(-1, 6), "e33": rational(-1, 6)},
+}
+
+
+def linear_element(coeffs: dict, basis: IrrepBasis) -> PatternMatrix:
+    """Sum of c * eij over coeffs {eij: c}, as one exact combination."""
+    return exact_combination(
+        ((c, (generator_matrix(n, basis),)) for n, c in coeffs.items()), basis
+    )
+
+
 def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
     """Matrix of a named algebra element, composed from generator matrices."""
     if name in GENERATOR_NAMES:
@@ -132,6 +150,8 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
 
     def build():
         g = lambda n: generator_matrix(n, basis)
+        if name in LINEAR_ELEMENTS:
+            return linear_element(LINEAR_ELEMENTS[name], basis)
         if name == "C2":
             return exact_combination(
                 (1, (g(f"e{i}{j}"), g(f"e{j}{i}")))
@@ -143,21 +163,7 @@ def element_matrix(name: str, basis: IrrepBasis) -> PatternMatrix:
                 for i, j, k in itertools.product(range(1, 4), repeat=3)
             )
         if name == "J":
-            return sl2_casimir(g("e11") - g("e22"), g("e21"), g("e12"))
-        if name == "Y":
-            return (g("e11") + g("e22") - g("e33").scaled(rational(2))).scaled(
-                rational(1, 3)
-            )
-        if name == "H":
-            return g("e11") - g("e22")
-        if name == "H1":
-            return (g("e11") - g("e22")).scaled(rational(1, 2))
-        if name in ("H2", "h"):
-            return (g("e22") - g("e33")).scaled(rational(1, 2))
-        if name == "y":
-            return (
-                g("e11").scaled(rational(2)) - g("e22") - g("e33")
-            ).scaled(rational(1, 6))
+            return sl2_casimir(element_matrix("H", basis), g("e21"), g("e12"))
         raise ValueError(f"unknown element {name!r}")
 
     return basis.memo(("elem", name), build)
@@ -191,13 +197,16 @@ def verify_structure(basis: IrrepBasis) -> Report:
         ("C2", casimir2_value(basis.weight)),
         ("C3", casimir3_value(basis.weight)),
     ):
-        resid = element_matrix(name, basis) - ident.scaled(value)
+        resid = exact_combination(
+            [(1, (element_matrix(name, basis),)), (-value, (ident,))]
+        )
         report.add(f"casimir{name[1]}_scalar", wname, resid.is_zero(), resid.max_abs())
 
     for name, eig in (("J", j_eigenvalue), ("Y", y_eigenvalue), ("H", h_eigenvalue)):
-        m = element_matrix(name, basis)
         expected = PatternMatrix.diagonal(basis, [eig(p) for p in basis])
-        resid = m - expected
+        resid = exact_combination(
+            [(1, (element_matrix(name, basis),)), (-1, (expected,))]
+        )
         report.add(f"{name}_diagonal", wname, resid.is_zero(), resid.max_abs())
 
     for a, b in (("e12", "e21"), ("e13", "e31"), ("e23", "e32")):

@@ -35,7 +35,14 @@ from .numerics import (
     rational,
     sin_cos,
 )
-from .rep import element_matrix, generator_matrix, h_eigenvalue, sl2_casimir
+from .rep import (
+    LINEAR_ELEMENTS,
+    element_matrix,
+    generator_matrix,
+    h_eigenvalue,
+    linear_element,
+    sl2_casimir,
+)
 from .specfun import (
     KrawtchoukParams,
     RacahParams,
@@ -250,8 +257,13 @@ def tau_sign(basis: IrrepBasis) -> int:
 
 
 def tau(basis: IrrepBasis) -> PatternMatrix:
+    """tau_raw times tau_sign, the sign applied by negating entries."""
+    raw = tau_raw(basis)
+    if tau_sign(basis) > 0:
+        return raw
     return basis.memo(
-        ("tau",), lambda: tau_raw(basis).scaled(rational(tau_sign(basis)))
+        ("tau",),
+        lambda: PatternMatrix._nonzero(basis, {k: -v for k, v in raw.entries.items()}),
     )
 
 
@@ -551,15 +563,19 @@ def hybrid_sigma(eta: Angle, basis: IrrepBasis) -> PatternMatrix:
     cal = rational(tau_sign(basis))
     t = _t_factors(basis)
     lattice = basis.lattice
+    # tau_raw's partner lookup: rho_z keeps (l21, l22), so row i meets the
+    # columns with l21 + l22 = l'11 - l'21 - l'22, whatever their l11
+    cols = {}
+    for j, (x21, x22, _, _, _) in enumerate(lattice):
+        cols.setdefault(x21 + x22, []).append(j)
 
     entries = {}
     for i, row in enumerate(basis):
-        rp21, rp22, rp11 = row.l21, row.l22, row.l11
-        rx21, _, rx11, a, b = lattice[i]
-        for j, col in enumerate(basis):
+        rp21, rp11 = row.l21, row.l11
+        rx21, rx22, rx11, a, b = lattice[i]
+        for j in cols.get(rx11 - rx21 - rx22 + a + b, ()):
+            col = basis.patterns[j]
             l21, l22, l11 = col.l21, col.l22, col.l11
-            if l21 + l22 != rp11 - rp21 - rp22:
-                continue
             k = krawtchouk_trig(l11 - l22, rp11 - l22, l21 - l22, s, c)
             if k == 0:
                 continue
@@ -615,29 +631,28 @@ def transpose3(m):
     return [[m[j][i] for j in range(3)] for i in range(3)]
 
 
-def _psi_generator(s3, i: int, j: int, basis: IrrepBasis) -> PatternMatrix:
-    """Psi_S(e_ij), the sum of S_ki S_lj e_kl over k and l, as one exact
-    combination of generator matrices."""
-    terms = [
-        (s3[k - 1][i - 1] * s3[l - 1][j - 1], (generator_matrix(f"e{k}{l}", basis),))
-        for k in range(1, 4)
-        for l in range(1, 4)
-    ]
-    return exact_combination(terms, basis)
+def _psi_linear(s3, coeffs: dict, basis: IrrepBasis) -> PatternMatrix:
+    """Psi_S of the linear element sum c * eij over coeffs {eij: c}: the
+    linear element with coefficient sum c S_ki S_lj on e_kl."""
+    s = lambda row, col: s3[row - 1][int(col) - 1]
+    return linear_element(
+        {
+            f"e{k}{l}": sum(c * s(k, n[1]) * s(l, n[2]) for n, c in coeffs.items())
+            for k in range(1, 4)
+            for l in range(1, 4)
+        },
+        basis,
+    )
 
 
 def psi_element(s3, name: str, basis: IrrepBasis) -> PatternMatrix:
     """Represented image of H, Y or J under the inner automorphism of the
     rotation with exact defining matrix s3."""
-    p = lambda i, j: _psi_generator(s3, i, j, basis)
-    if name == "H":
-        return p(1, 1) - p(2, 2)
-    if name == "Y":
-        return (p(1, 1) + p(2, 2) - p(3, 3).scaled(rational(2))).scaled(
-            rational(1, 3)
-        )
+    p = lambda coeffs: _psi_linear(s3, coeffs, basis)
+    if name in ("H", "Y"):
+        return p(LINEAR_ELEMENTS[name])
     if name == "J":
-        return sl2_casimir(p(1, 1) - p(2, 2), p(2, 1), p(1, 2))
+        return sl2_casimir(p(LINEAR_ELEMENTS["H"]), p({"e21": 1}), p({"e12": 1}))
     raise ValueError(f"bispectral residuals are defined for H, Y, J; got {name!r}")
 
 

@@ -7,7 +7,13 @@ import pytest
 
 from gtrotor import numerics
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns
-from gtrotor.linalg import PatternMatrix, exact_combination, exact_product, norm_vector
+from gtrotor.linalg import (
+    PatternMatrix,
+    adjoint as gt_adjoint,
+    exact_combination,
+    exact_product,
+    norm_vector,
+)
 from gtrotor.numerics import Exact, rational
 
 
@@ -141,7 +147,21 @@ def test_exact_product_rejects_bad_input(adjoint, dim27):
     with pytest.raises(ValueError):
         exact_product(m, PatternMatrix.identity(dim27))
     with pytest.raises(TypeError):
-        exact_product(m, m.to_float())
+        exact_product(m, PatternMatrix.from_numpy(adjoint, m.to_numpy()))
+
+
+def test_float_matrices_have_no_arithmetic(adjoint):
+    exact = PatternMatrix.identity(adjoint)
+    flt = PatternMatrix.from_numpy(adjoint, exact.to_numpy())
+    for a, b in ((flt, flt), (exact, flt), (flt, exact)):
+        with pytest.raises(TypeError):
+            a @ b
+    with pytest.raises(TypeError):
+        gt_adjoint(flt)
+    for op in ("__add__", "__sub__", "__neg__", "scaled", "commutator", "to_float"):
+        assert not hasattr(flt, op)
+    # float() of either kind: a container compares with an exact matrix
+    assert flt.max_abs_diff(exact) == 0.0
 
 
 def reference_combination(terms):
@@ -211,7 +231,7 @@ def test_exact_combination_empty_sum_is_zero(adjoint):
 def test_exact_combination_rejects_bad_input(adjoint, dim27):
     m = PatternMatrix.identity(adjoint)
     with pytest.raises(TypeError):
-        exact_combination([(1, (m, m.to_float()))])
+        exact_combination([(1, (m, PatternMatrix.from_numpy(adjoint, m.to_numpy())))])
     with pytest.raises(TypeError):
         exact_combination([(0.5, (m,))])
     with pytest.raises(ValueError):

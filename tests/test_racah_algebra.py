@@ -4,6 +4,9 @@ import pytest
 from gtrotor.gt_basis import HighestWeight, InvalidWeight, enumerate_patterns
 from gtrotor.numerics import rational
 from gtrotor.racah_algebra import (
+    CENTRAL,
+    IDENTITIES,
+    cartan_data,
     central_data,
     centralizer_identity_residuals,
     commutes_with_cartan_report,
@@ -16,6 +19,7 @@ from gtrotor.racah_algebra import (
     pbw_basis_spanning_check,
     racah_relations_residual,
 )
+from gtrotor.linalg import exact_combination
 from gtrotor.rep import element_matrix
 
 
@@ -103,7 +107,7 @@ def test_central_data_commute_with_generators(adjoint):
     k = k_matrix(adjoint)
     for m in central_data(adjoint):
         for g in (j, jb, k):
-            assert m.commutator(g).is_zero()
+            assert exact_combination([(1, (m, g)), (-1, (g, m))]).is_zero()
 
 
 def test_jbar_tridiagonal_matches_recurrence_coefficients(adjoint):
@@ -136,3 +140,91 @@ def test_pbw_count_matches_series():
 def test_pbw_guard():
     with pytest.raises(ValueError):
         pbw_basis_spanning_check(9)
+
+
+# -- non-vacuity: one changed coefficient on the closed-form side fails --------
+
+IDENTITY_REPORTS = (
+    racah_relations_residual,
+    gamma_residual,
+    centralizer_identity_residuals,
+)
+
+
+def _check(name, basis):
+    (check,) = [
+        c for report in IDENTITY_REPORTS for c in report(basis).checks if c.name == name
+    ]
+    return check
+
+
+def _mutant(name):
+    """(table, key, value): the identity `name` with one coefficient of its
+    closed-form side changed."""
+    if name == "racah_relation_JK":  # a: 3 y^2 -> 2 y^2
+        a = CENTRAL["a"]
+        return CENTRAL, "a", lambda d: a(d) - d.y * d.y
+    if name == "racah_relation_KJbar":  # b-: (3y + h)(... - C3/3 ...) -> C3/4
+        bm = CENTRAL["b-"]
+        return CENTRAL, "b-", lambda d: bm(d) + (3 * d.y + d.h) * d.c3 / 12
+    terms, closed = IDENTITIES[name]
+    if name == "centralizer[K_difference]":  # K = e31 e12 e23 - 2 e32 e21 e13
+        terms = [(2 * c if w == "e32 e21 e13" else c, w) for c, w in terms]
+        return IDENTITIES, name, (terms, closed)
+    delta = {
+        # -(h^2 - y^2)^3 / 8 -> / 7
+        "gamma_closed_form": lambda d: -((d.h * d.h - d.y * d.y) ** 3) / 56,
+        # -h1 (h1 + 1) -> -h1 (h1 + 2)
+        "centralizer[e21e12]": lambda d: -d.h1,
+        # -h12 (h12 + 1) -> -h12 (h12 + 2)
+        "centralizer[e31e13]": lambda d: -(d.h1 + d.h2),
+        # C2/2 -> C2/3
+        "centralizer[e32e23]": lambda d: -d.c2 / 6,
+        # 2/27 (h2 + 2 h1)(11 h1^2 + 11 h1 h2 - 4 h2^2) -> 1/27
+        "centralizer[symmetric_cubic]": lambda d: -(d.h2 + 2 * d.h1)
+        * (11 * d.h1 * d.h1 + 11 * d.h1 * d.h2 - 4 * d.h2 * d.h2)
+        / 27,
+    }[name]
+    return IDENTITIES, name, (terms, lambda d: closed(d) + delta(d))
+
+
+@pytest.mark.parametrize(
+    "triple", [(2, 0, -2), (rational(4, 3), rational(1, 3), rational(-5, 3))]
+)
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_changed_coefficient_fails_its_identity(name, triple, monkeypatch):
+    assert _check(name, basis_of(*triple)).passed
+    monkeypatch.setitem(*_mutant(name))
+    check = _check(name, basis_of(*triple))
+    assert not check.passed and check.residual > 0
+
+
+def test_every_identity_has_a_report():
+    basis = basis_of(1, 0, -1)
+    names = {c.name for report in IDENTITY_REPORTS for c in report(basis).checks}
+    assert names == set(IDENTITIES) and len(IDENTITIES) == 8
+
+
+def test_cartan_data_rejects_off_diagonal(monkeypatch):
+    import gtrotor.racah_algebra as ra
+
+    def element(name, basis):
+        return element_matrix("e12" if name == "h" else name, basis)
+
+    monkeypatch.setattr(ra, "element_matrix", element)
+    with pytest.raises(ValueError, match="not diagonal"):
+        cartan_data(basis_of(1, 0, -1))
+
+
+# -- beyond the acceptance height --------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["14/3,-7/3,-7/3", "10/3,1/3,-11/3"])
+def test_racah_algebra_suite_at_height_7(text):
+    from gtrotor.verify import _racah_weight
+
+    weight = HighestWeight.parse(text)
+    assert weight.height == 7
+    report = _racah_weight(weight)
+    assert len(report.checks) > 8
+    assert report.passed, [c.line() for c in report.failures]

@@ -3,7 +3,7 @@ import pytest
 
 from gtrotor import linalg
 from gtrotor.gt_basis import HighestWeight, enumerate_patterns, shift, weights_up_to_height
-from gtrotor.linalg import PatternMatrix
+from gtrotor.linalg import PatternMatrix, exact_combination
 from gtrotor.numerics import exact_angle, rational
 from gtrotor.rep import (
     GENERATOR_NAMES,
@@ -92,8 +92,9 @@ def test_e11_is_diagonal_with_l11(adjoint):
 
 
 def test_gl2_commutator(adjoint):
-    lhs = generator_matrix("e12", adjoint).commutator(generator_matrix("e21", adjoint))
-    rhs = generator_matrix("e11", adjoint) - generator_matrix("e22", adjoint)
+    g = lambda n: generator_matrix(n, adjoint)
+    lhs = exact_combination([(1, (g("e12"), g("e21"))), (-1, (g("e21"), g("e12")))])
+    rhs = exact_combination([(1, (g("e11"),)), (-1, (g("e22"),))])
     assert lhs == rhs
 
 
@@ -102,12 +103,9 @@ def test_casimirs_are_scalars(adjoint):
     assert casimir2_value(adjoint.weight) == 6
     assert casimir3_value(adjoint.weight) == 9
     # the matrices are built from the generator products, independently
-    assert element_matrix("C2", adjoint) == PatternMatrix.identity(adjoint).scaled(
-        rational(6)
-    )
-    assert element_matrix("C3", adjoint) == PatternMatrix.identity(adjoint).scaled(
-        rational(9)
-    )
+    for name, value in (("C2", 6), ("C3", 9)):
+        scalar = PatternMatrix.diagonal(adjoint, [rational(value)] * adjoint.dim)
+        assert element_matrix(name, adjoint) == scalar
 
 
 def test_j_eigenvalue_example(adjoint):
@@ -151,8 +149,9 @@ def test_adjoint_of_rho_is_its_inverse(adjoint):
     assert inv.exact
     assert (inv @ rho).is_identity() and (rho @ inv).is_identity()
     assert linalg.orthogonality_defect(rho).is_zero()
-    assert not linalg.orthogonality_defect(rho.scaled(rational(2))).is_zero()
-    approx = linalg.adjoint(rho.to_float())
+    assert not linalg.orthogonality_defect(exact_combination([(2, (rho,))])).is_zero()
+    # the float counterpart is the transpose in the orthonormal basis, in numpy
+    approx = PatternMatrix.from_zeta_numpy(adjoint, rho.zeta_numpy().T)
     assert not approx.exact
     assert approx.max_abs_diff(inv) < 1e-12
 
@@ -172,9 +171,7 @@ def test_joint_spectrum_separates_patterns():
 
 
 def test_cartan_traceless(adjoint):
-    total = (
-        generator_matrix("e11", adjoint)
-        + generator_matrix("e22", adjoint)
-        + generator_matrix("e33", adjoint)
+    total = exact_combination(
+        (1, (generator_matrix(f"e{i}{i}", adjoint),)) for i in range(1, 4)
     )
     assert total.is_zero()

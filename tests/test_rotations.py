@@ -29,7 +29,7 @@ from gtrotor.oracle import (
     rho_z_oracle,
     tau_sign_residual,
 )
-from gtrotor.linalg import PatternMatrix
+from gtrotor.linalg import PatternMatrix, exact_combination
 from gtrotor.rep import element_matrix, j_eigenvalue, y_eigenvalue
 from gtrotor.rotations import (
     EulerAngles,
@@ -189,7 +189,7 @@ def test_rho_entries_match_the_direct_sum():
 
 
 def test_rho_matches_oracle_on_defining(defining):
-    closed = rho_z(A35, defining).to_float()
+    closed = rho_z(A35, defining)
     oracle = rho_oracle(
         np.array([[0.8, 0.6, 0.0], [-0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]), defining
     )
@@ -301,13 +301,23 @@ def test_tau_trivial_rep():
 
 
 def test_tau_squared_represents_t_squared(adjoint):
-    t2 = (tau(adjoint) @ tau(adjoint)).to_float()
+    t2 = tau(adjoint) @ tau(adjoint)
     target = rho_oracle(T_MATRIX @ T_MATRIX, adjoint)
     assert t2.max_abs_diff(target) < 1e-10
 
 
 def test_tau_carries_calibrated_sign(adjoint):
-    assert tau(adjoint) == tau_raw(adjoint).scaled(rational(tau_sign(adjoint)))
+    sign = rational(tau_sign(adjoint))
+    assert tau(adjoint) == exact_combination([(sign, (tau_raw(adjoint),))])
+
+
+@pytest.mark.parametrize(
+    "triple", [(rational(2, 3), rational(-1, 3), rational(-1, 3)), (2, -1, -1)]
+)
+def test_tau_negates_raw_at_odd_height(triple):
+    basis = basis_of(*triple)
+    assert tau_sign(basis) == -1
+    assert tau(basis) == exact_combination([(-1, (tau_raw(basis),))])
 
 
 def test_tau_sign_matches_oracle_height_12():
